@@ -138,12 +138,13 @@ func readBaseline(path string) (map[string]Result, error) {
 // flagging regressions beyond threshold (a fraction: 0.10 = 10%) and
 // any allocs/op growth. It returns the number of flagged regressions.
 func compare(w io.Writer, current []Result, base map[string]Result, threshold float64) int {
+	base = byBaseName(base)
 	regressions := 0
 	seen := make(map[string]bool, len(current))
 	fmt.Fprintf(w, "%-52s %14s %14s %9s\n", "benchmark", "baseline ns/op", "current ns/op", "delta")
 	for _, cur := range current {
-		seen[cur.Name] = true
-		old, ok := base[cur.Name]
+		seen[baseName(cur.Name)] = true
+		old, ok := base[baseName(cur.Name)]
 		if !ok {
 			fmt.Fprintf(w, "%-52s %14s %14.0f %9s  (new)\n", cur.Name, "-", cur.NsPerOp, "-")
 			continue
@@ -179,6 +180,32 @@ func compare(w io.Writer, current []Result, base map[string]Result, threshold fl
 	return regressions
 }
 
+// baseName strips the -GOMAXPROCS suffix go test appends to benchmark
+// names on multi-core machines ("BenchmarkX/shards=4-8" ->
+// "BenchmarkX/shards=4"), so a baseline recorded with one CPU count
+// matches a run with another.
+func baseName(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, r := range name[i+1:] {
+		if r < '0' || r > '9' {
+			return name
+		}
+	}
+	return name[:i]
+}
+
+// byBaseName re-keys a baseline by baseName.
+func byBaseName(base map[string]Result) map[string]Result {
+	out := make(map[string]Result, len(base))
+	for name, res := range base {
+		out[baseName(name)] = res
+	}
+	return out
+}
+
 // shardName splits a benchmark name like
 // "BenchmarkShardedThroughput/shards=4-8" into its base name and shard
 // count, or returns false for names without a /shards=N component.
@@ -188,12 +215,7 @@ func shardName(name string) (base string, shards int, ok bool) {
 	if i < 0 {
 		return "", 0, false
 	}
-	rest := name[i+len(marker):]
-	// Trim the -GOMAXPROCS suffix go test appends to sub-benchmarks.
-	if j := strings.IndexByte(rest, '-'); j >= 0 {
-		rest = rest[:j]
-	}
-	n, err := strconv.Atoi(rest)
+	n, err := strconv.Atoi(baseName(name)[i+len(marker):])
 	if err != nil || n < 1 {
 		return "", 0, false
 	}
@@ -262,6 +284,7 @@ func shardScaling(w io.Writer, current []Result) {
 // benchmarks) show "(new)". Serial (shards=1) rows naturally report ~0
 // barrier overhead and anchor the table. Advisory, like the rest.
 func engineProfile(w io.Writer, current []Result, base map[string]Result) {
+	base = byBaseName(base)
 	const growth = 10.0 // percentage points of barrier overhead
 	header := false
 	for _, cur := range current {
@@ -273,7 +296,7 @@ func engineProfile(w io.Writer, current []Result, base map[string]Result) {
 			fmt.Fprintf(w, "%-52s %10s %10s %8s\n", "benchmark", "base barr%", "barrier%", "weff%")
 			header = true
 		}
-		old, ok := base[cur.Name]
+		old, ok := base[baseName(cur.Name)]
 		flag := ""
 		baseCol := "(new)"
 		if ok && (old.BarrierPct != 0 || old.WindowEff != 0) {
@@ -294,6 +317,7 @@ func engineProfile(w io.Writer, current []Result, base map[string]Result) {
 // thing the flyweight fabric exists to bound, and a silent creep back
 // toward per-entity boxing would undo it. Advisory, like the rest.
 func buildMemory(w io.Writer, current []Result, base map[string]Result) {
+	base = byBaseName(base)
 	const growth = 0.25
 	header := false
 	for _, cur := range current {
@@ -305,7 +329,7 @@ func buildMemory(w io.Writer, current []Result, base map[string]Result) {
 			fmt.Fprintf(w, "%-52s %12s %12s %12s\n", "benchmark", "base B/host", "B/host", "ns/host")
 			header = true
 		}
-		old, ok := base[cur.Name]
+		old, ok := base[baseName(cur.Name)]
 		flag := ""
 		baseCol := "(new)"
 		if ok && old.BPerHost > 0 {

@@ -240,3 +240,37 @@ func TestReadBaselineRoundTrip(t *testing.T) {
 		t.Fatalf("baseline = %+v", base)
 	}
 }
+
+// TestCompareAcrossCPUCounts: a baseline recorded on one CPU (names
+// without the -GOMAXPROCS suffix) matches a run on a multi-core machine
+// (names with it) in every section, instead of reading as all-new and
+// all-missing with a vacuous "no regressions".
+func TestCompareAcrossCPUCounts(t *testing.T) {
+	base := map[string]Result{
+		"BenchmarkSlower":                     {Name: "BenchmarkSlower", NsPerOp: 100},
+		"BenchmarkShardedThroughput/shards=2": {Name: "BenchmarkShardedThroughput/shards=2", BarrierPct: 10, WindowEff: 90},
+		"BenchmarkBuildNetwork/fbfly-32k":     {Name: "BenchmarkBuildNetwork/fbfly-32k", BPerHost: 2000},
+	}
+	current := []Result{
+		{Name: "BenchmarkSlower-8", NsPerOp: 150},
+		{Name: "BenchmarkShardedThroughput/shards=2-8", BarrierPct: 40, WindowEff: 60},
+		{Name: "BenchmarkBuildNetwork/fbfly-32k-8", BPerHost: 4000},
+	}
+	var sb strings.Builder
+	if n := compare(&sb, current, base, 0.10); n != 1 {
+		t.Errorf("regressions = %d, want 1 (BenchmarkSlower +50%%):\n%s", n, sb.String())
+	}
+	engineProfile(&sb, current, base)
+	buildMemory(&sb, current, base)
+	out := sb.String()
+	for _, bad := range []string{"(new)", "missing from current run"} {
+		if strings.Contains(out, bad) {
+			t.Errorf("suffix mismatch reported as %q:\n%s", bad, out)
+		}
+	}
+	for _, want := range []string{"REGRESSION", "BARRIER +30.0pp", "MEMORY +100%"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+}

@@ -33,10 +33,8 @@ import (
 var errors int
 
 func main() {
-	var loader cli.Loader
-	var outputs cli.Outputs
+	loader := cli.Loader{Grid: true}
 	loader.Bind(flag.CommandLine, epnet.DefaultEval().Config)
-	outputs.BindOutputs(flag.CommandLine, "experiments", true)
 
 	only := flag.String("only", "", "run a single experiment (table1, fig1, fig5, fig6, fig7, fig8, fig9a, fig9b, policies, dyntopo, routing, reactivation, oversub, topocompare, serdes, resilience, faultgrid)")
 	full := flag.Bool("full", false, "use the paper's 15-ary 3-flat scale (slow)")
@@ -60,14 +58,7 @@ func main() {
 	}
 	eval.Config = cfg
 	eval.Parallel = *par
-	if outputs.MetricsOut != "" || outputs.TraceOut != "" || outputs.HeatmapOut != "" ||
-		outputs.HistOut != "" || outputs.ProfileOut != "" || outputs.Listen != "" {
-		eval.Telemetry, err = outputs.Telemetry()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-	}
+	eval.Telemetry = new(epnet.TelemetryOpts)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -38,13 +38,11 @@ import (
 )
 
 func main() {
-	var loader cli.Loader
-	var outputs cli.Outputs
+	loader := cli.Loader{Grid: true}
 	base := epnet.DefaultConfig()
 	base.Warmup = time.Millisecond
 	base.Duration = 4 * time.Millisecond
 	loader.Bind(flag.CommandLine, base)
-	outputs.BindOutputs(flag.CommandLine, "sweep", true)
 
 	axis := flag.String("x", "target", "sweep axis: target | reactivation | load | radix | fault-rate")
 	values := flag.String("values", "", "comma-separated axis values (durations for reactivation)")
@@ -129,13 +127,9 @@ func main() {
 		cfgs = append(cfgs, cfg)
 	}
 
-	// Telemetry paths are assigned in row order before the fan-out, so
+	// Output paths are numbered in row order before the fan-out, so
 	// -parallel runs write identical files and the CSV stays untouched.
-	telem, err := outputs.Telemetry()
-	if err != nil {
-		fail(err)
-	}
-	telem.Apply(cfgs)
+	new(epnet.TelemetryOpts).Apply(cfgs)
 
 	results, err := epnet.RunGrid(cfgs, *par)
 	if err != nil {

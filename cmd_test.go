@@ -245,3 +245,94 @@ func TestEpsimGracefulShutdown(t *testing.T) {
 		}
 	}
 }
+
+// flagSet lists a command's flags as "-name type" lines, parsed from
+// its -h usage (flag.PrintDefaults: bool flags carry no type word).
+func flagSet(t *testing.T, bin string) string {
+	t.Helper()
+	out, err := exec.Command(bin, "-h").CombinedOutput()
+	if err != nil {
+		t.Fatalf("%s -h: %v\n%s", filepath.Base(bin), err, out)
+	}
+	var sb strings.Builder
+	for _, line := range strings.Split(string(out), "\n") {
+		if !strings.HasPrefix(line, "  -") {
+			continue
+		}
+		head, _, _ := strings.Cut(line, "\t")
+		fields := strings.Fields(head)
+		typ := "bool"
+		if len(fields) > 1 {
+			typ = fields[1]
+		}
+		sb.WriteString(fields[0] + " " + typ + "\n")
+	}
+	return sb.String()
+}
+
+// TestCommandFlagSets pins the name and type of every flag of the
+// config-driven commands, so scripts that drive them keep working.
+// Help text is free to change. Regenerate with
+//
+//	EPNET_UPDATE_GOLDEN=1 go test -run TestCommandFlagSets .
+func TestCommandFlagSets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cmd smoke tests skipped in -short mode")
+	}
+	dir := t.TempDir()
+	for _, name := range []string{"epsim", "sweep", "experiments"} {
+		got := flagSet(t, buildTool(t, dir, name))
+		golden := filepath.Join("testdata", "flags", name+".txt")
+		if os.Getenv("EPNET_UPDATE_GOLDEN") != "" {
+			if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("%v (regenerate with EPNET_UPDATE_GOLDEN=1)", err)
+		}
+		if got != string(want) {
+			t.Errorf("%s flag set diverges from %s\nwant:\n%s\ngot:\n%s", name, golden, want, got)
+		}
+	}
+}
+
+// TestCommandOutputFlags: every output file a command is asked for gets
+// written — flow reports on their own included, and output paths a
+// scenario's config block sets, not only those given as flags.
+func TestCommandOutputFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cmd smoke tests skipped in -short mode")
+	}
+	dir := t.TempDir()
+
+	t.Run("experiments-flows-out-alone", func(t *testing.T) {
+		bin := buildTool(t, dir, "experiments")
+		flows := filepath.Join(dir, "flows.json")
+		runTool(t, bin, "-only", "fig7", "-duration", "200us", "-warmup", "50us", "-flows-out", flows)
+		for _, name := range []string{"flows.000.json", "flows.001.json"} {
+			if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+				t.Errorf("-flows-out alone wrote no per-run report: %v", err)
+			}
+		}
+	})
+
+	t.Run("epsim-scenario-outputs", func(t *testing.T) {
+		bin := buildTool(t, dir, "epsim")
+		metrics := filepath.Join(dir, "m.csv")
+		flows := filepath.Join(dir, "f.json")
+		doc := `{"version": 1, "config": {"metrics_out": "` + metrics + `", "flows_out": "` + flows + `"},
+		  "phases": [{"name": "only", "duration": "100us", "traffic": [{"workload": "uniform"}]}]}`
+		scen := filepath.Join(dir, "s.json")
+		if err := os.WriteFile(scen, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		runTool(t, bin, "-scenario", scen, "-warmup", "20us")
+		for _, p := range []string{metrics, flows} {
+			if _, err := os.Stat(p); err != nil {
+				t.Errorf("scenario output path dropped: %v", err)
+			}
+		}
+	})
+}

@@ -122,57 +122,66 @@ const (
 
 // Config describes one simulation run. The zero value is not runnable;
 // start from DefaultConfig.
+//
+// Each field's struct tags are its only declaration outside this
+// struct: json is its key in config files and scenario config blocks
+// (durations are Go duration strings, see Duration), flag and help
+// name and document its command-line flag (internal/cli binds them),
+// and a ",single-run" flag is bound only by commands that run one
+// configuration.
 type Config struct {
 	// Topology selects the network shape (default flattened butterfly).
-	Topology TopologyKind
+	Topology TopologyKind `json:"topology,omitempty" flag:"topology" help:"topology: fbfly | fattree | clos3"`
 	// K, N, C give the k-ary n-flat shape with concentration c. The
 	// paper's simulated system is K=15, N=3, C=15 (3,375 hosts); the
 	// default here is a smaller instance for fast runs.
-	K, N, C int
+	K int `json:"k,omitempty" flag:"k" help:"FBFLY radix per dimension (or fat-tree leaf/spine count)"`
+	N int `json:"n,omitempty" flag:"n" help:"FBFLY n (dimensions incl. host dimension)"`
+	C int `json:"c,omitempty" flag:"c" help:"concentration: hosts per switch"`
 
 	// Workload selects the offered traffic; Load overrides its default
 	// average utilization when positive.
-	Workload WorkloadKind
-	Load     float64
+	Workload WorkloadKind `json:"workload,omitempty" flag:"workload" help:"workload: uniform | search | advert | permutation | hotspot | tornado | incast | migration | trace"`
+	Load     float64      `json:"load,omitempty" flag:"load" help:"override workload average utilization (0 = workload default)"`
 	// TracePath is the trace file replayed when Workload is
 	// WorkloadTrace (the binary format written by cmd/tracegen).
-	TracePath string
+	TracePath string `json:"trace_path,omitempty" flag:"trace" help:"trace file for -workload trace (see tracegen)"`
 
 	// Policy is the link control policy; TargetUtil is its target
 	// channel utilization (paper default 0.5).
-	Policy     PolicyKind
-	TargetUtil float64
+	Policy     PolicyKind `json:"policy,omitempty" flag:"policy" help:"policy: baseline | halve-double | min-max | hysteresis | static-min | queue-aware"`
+	TargetUtil float64    `json:"target_util,omitempty" flag:"target" help:"target channel utilization"`
 
 	// Independent enables independent control of the two unidirectional
 	// channels of each link (§3.3.1); false ties link pairs together.
-	Independent bool
+	Independent bool `json:"independent,omitempty" flag:"independent" help:"tune unidirectional channels independently"`
 
 	// Routing selects adaptive (default) or dimension-order routing.
-	Routing RoutingKind
+	Routing RoutingKind `json:"routing,omitempty" flag:"routing" help:"routing: adaptive | dor"`
 
 	// ModeAwareReactivation charges per-transition penalties from the
 	// SerDes model (§3.1: CDR re-lock ~100 ns for rate-only changes,
 	// ~1 µs lane retraining) instead of the flat Reactivation.
-	ModeAwareReactivation bool
+	ModeAwareReactivation bool `json:"mode_aware_reactivation,omitempty" flag:"mode-aware" help:"mode-aware reactivation penalties (CDR vs lane retraining)"`
 
 	// Reactivation is the link reconfiguration penalty (default 1 µs);
 	// Epoch is the utilization measurement window (default 10x
 	// reactivation, per §4.2.2).
-	Reactivation time.Duration
-	Epoch        time.Duration
+	Reactivation time.Duration `json:"reactivation,omitempty" flag:"reactivation" help:"link reactivation time"`
+	Epoch        time.Duration `json:"epoch,omitempty" flag:"epoch" help:"utilization epoch (default 10x reactivation)"`
 
 	// DynTopo additionally enables the §5.1 dynamic topology
 	// controller (flattened butterfly only).
-	DynTopo bool
+	DynTopo bool `json:"dyn_topo,omitempty" flag:"dyntopo" help:"enable the dynamic topology controller"`
 
 	// Warmup and Duration split the run: statistics (latency, power,
 	// occupancy) are collected only during the Duration window after
 	// Warmup ends. Injection runs through both.
-	Warmup   time.Duration
-	Duration time.Duration
+	Warmup   time.Duration `json:"warmup,omitempty" flag:"warmup" help:"warmup before measurement"`
+	Duration time.Duration `json:"duration,omitempty" flag:"duration" help:"measurement window (scenarios derive it from their phases)"`
 
 	// Seed makes the run reproducible.
-	Seed int64
+	Seed int64 `json:"seed,omitempty" flag:"seed" help:"random seed"`
 
 	// Shards, when > 1, partitions the fabric's switches (with their
 	// attached hosts) across this many workers that advance in
@@ -189,16 +198,16 @@ type Config struct {
 	// (TraceOut). 1 forces the serial engine; counts above the switch
 	// count are capped to it. Explicit Shards > 1 is incompatible with
 	// TraceOut (the trace stream is single-writer).
-	Shards int
+	Shards int `json:"shards,omitempty" flag:"shards" help:"parallel simulation shards (0 = auto: one per CPU; 1 = serial; results are byte-identical)"`
 
 	// MaxPacket is the segmentation size (default 2048 bytes).
-	MaxPacket int
+	MaxPacket int `json:"max_packet,omitempty"`
 
 	// PowerSampleEvery, when positive, samples instantaneous network
 	// power and offered utilization at this interval during the
 	// measurement window, populating Result.PowerTrace — a direct view
 	// of the network's power tracking its load.
-	PowerSampleEvery time.Duration
+	PowerSampleEvery time.Duration `json:"power_sample_every,omitempty" flag:"power-trace,single-run" help:"sample instantaneous power at this interval (0 = off)"`
 
 	// MetricsOut, when non-empty, writes a sampled time series of every
 	// registered telemetry metric (link rates and states, switch queue
@@ -207,8 +216,8 @@ type Config struct {
 	// default, JSON Lines when the path ends in ".jsonl".
 	// SampleInterval is the sampling period; it defaults to Epoch, so
 	// the series resolves per-epoch link rate changes.
-	MetricsOut     string
-	SampleInterval time.Duration
+	MetricsOut     string        `json:"metrics_out,omitempty" flag:"metrics-out" help:"write the sampled metric time series to this file (CSV, or JSON Lines with a .jsonl extension)"`
+	SampleInterval time.Duration `json:"sample_interval,omitempty" flag:"sample-interval" help:"metrics sampling period (default: one epoch)"`
 
 	// TraceOut, when non-empty, streams a Chrome trace_event JSON file
 	// to this path: packet lifetime spans (inject -> deliver) and link
@@ -216,25 +225,25 @@ type Config struct {
 	// in chrome://tracing or https://ui.perfetto.dev. When unset — the
 	// default — the packet path carries no tracing work beyond one nil
 	// check.
-	TraceOut string
+	TraceOut string `json:"trace_out,omitempty" flag:"trace-out" help:"write a Chrome trace_event JSON file (open in chrome://tracing or ui.perfetto.dev)"`
 
 	// HeatmapOut, when non-empty, writes a utilization x time heatmap
 	// CSV at the end of the run: one row per inter-switch channel, one
 	// column per SampleInterval, each cell the channel's utilization
 	// over that interval — the per-link view behind the paper's Figs
 	// 8-13.
-	HeatmapOut string
+	HeatmapOut string `json:"heatmap_out,omitempty" flag:"heatmap-out" help:"write the per-link utilization x time heatmap CSV to this file"`
 
 	// HistOut, when non-empty, writes a link-utilization histogram CSV
 	// (the paper's Fig 8 view): how often links sit at each utilization
 	// level, aggregated over all inter-switch channels and all sample
 	// intervals of the run.
-	HistOut string
+	HistOut string `json:"hist_out,omitempty" flag:"hist-out" help:"write the link-utilization histogram CSV (Fig 8 view) to this file"`
 
 	// Attribution, when true, populates Result.Attribution with the
 	// per-channel energy/utilization breakdown. Off by default to keep
 	// Result compact at paper scale (thousands of channels).
-	Attribution bool
+	Attribution bool `json:"attribution,omitempty" flag:"attribution,single-run" help:"print the per-link energy attribution (top consumers)"`
 
 	// Profile, when true, self-profiles the simulation engine and
 	// populates Result.Profile: per-shard wall-clock busy / barrier-wait
@@ -244,12 +253,12 @@ type Config struct {
 	// the deterministic simulation path (at window and barrier
 	// granularity, never per packet), so every other Result field and
 	// every telemetry CSV is byte-identical with profiling on or off.
-	Profile bool
+	Profile bool `json:"profile,omitempty" flag:"profile,single-run" help:"self-profile the engine and print the critical-path report (per-shard stalls, window efficiency, barrier overhead)"`
 
 	// ProfileOut, when non-empty, writes the engine profile to this path
 	// at the end of the run — JSON by default, a per-shard CSV when the
 	// path ends in ".csv" — and implies Profile.
-	ProfileOut string
+	ProfileOut string `json:"profile_out,omitempty" flag:"profile-out" help:"write the engine self-profile to this file (JSON, or CSV with a .csv extension)"`
 
 	// FlowTrace, when true, hash-samples packets at injection and carries
 	// a compact per-hop log on each sampled packet: queue wait, credit
@@ -262,18 +271,18 @@ type Config struct {
 	// seed, so the sampled set — and every FlowTrace byte — is identical
 	// across shard counts; with tracing off the packet path carries
 	// nothing beyond one nil check.
-	FlowTrace bool
+	FlowTrace bool `json:"flow_trace,omitempty" flag:"flow-trace" help:"hash-sample packets and decompose their latency per hop (queue/credit/retune/busy/cut-through/serialize/wire/route)"`
 
 	// FlowSample is the flow-tracing sample rate in (0,1]: the expected
 	// fraction of packets carrying a hop log. 0 defaults to 1/64. 1
 	// traces every packet (exact decompositions, highest overhead).
-	FlowSample float64
+	FlowSample float64 `json:"flow_sample,omitempty" flag:"flow-sample" help:"flow-tracing sample rate in (0,1] (default 1/64; 1 traces every packet)"`
 
 	// FlowsOut, when non-empty, writes the flow-trace report to this
 	// path at the end of the run — JSON by default, a per-phase
 	// decomposition CSV when the path ends in ".csv" — and implies
 	// FlowTrace.
-	FlowsOut string
+	FlowsOut string `json:"flows_out,omitempty" flag:"flows-out" help:"write the flow-trace report to this file (JSON, or per-phase CSV with a .csv extension); implies -flow-trace"`
 
 	// Inspector, when non-nil, receives a Prometheus scrape body and a
 	// JSON per-entity snapshot at every sample tick, for live HTTP
@@ -287,8 +296,8 @@ type Config struct {
 	// window (no drain — the failure case of §1's failure-domain
 	// argument). FBFLY with adaptive routing only: the router misroutes
 	// around dead links. FailAfter defaults to one quarter of Duration.
-	FailLinks int
-	FailAfter time.Duration
+	FailLinks int           `json:"fail_links,omitempty" flag:"fail-links" help:"abruptly fail this many inter-switch link pairs mid-run"`
+	FailAfter time.Duration `json:"fail_after,omitempty"`
 
 	// Faults, when non-empty, is a deterministic fault schedule executed
 	// by the internal/fault injector: semicolon-separated events of the
@@ -301,7 +310,7 @@ type Config struct {
 	//	"50us fail-link s0p8; 100us degrade-link s1p8 10; 400us repair-link s0p8"
 	//
 	// Requires adaptive routing (the router must mask dead ports).
-	Faults string
+	Faults string `json:"faults,omitempty" flag:"faults" help:"deterministic fault schedule, e.g. \"50us fail-link s0p8; 400us repair-link s0p8\""`
 
 	// FaultRate, when positive, additionally injects seeded-random link
 	// failures and lane degradations at this expected rate (events per
@@ -309,8 +318,8 @@ type Config struct {
 	// links repair after an exponentially distributed time with mean
 	// FaultMTTR (default 200 µs). The sequence is a pure function of
 	// Seed: identical runs see identical fault histories.
-	FaultRate float64
-	FaultMTTR time.Duration
+	FaultRate float64       `json:"fault_rate,omitempty" flag:"fault-rate" help:"seeded-random faults per simulated millisecond"`
+	FaultMTTR time.Duration `json:"fault_mttr,omitempty" flag:"fault-mttr" help:"mean time to repair for -fault-rate faults (default 200us)"`
 
 	// Scenario, when non-nil, drives the run as a sequence of named
 	// phases — traffic mixes with load shapes, policy switches, and
@@ -320,7 +329,15 @@ type Config struct {
 	// phase durations. The first phase's first traffic stream and policy
 	// are mirrored into Workload/Load/Policy/TargetUtil so reports and
 	// single-phase scenarios read like ordinary runs.
-	Scenario *Scenario
+	Scenario *Scenario `json:"scenario,omitempty"`
+}
+
+// OutputPaths returns pointers to the Config's output file fields:
+// metrics, Chrome trace, heatmap, histogram, profile and flow report.
+// It is the one list of them — grid runners number each per run (see
+// TelemetryOpts) and the commands document them.
+func (c *Config) OutputPaths() []*string {
+	return []*string{&c.MetricsOut, &c.TraceOut, &c.HeatmapOut, &c.HistOut, &c.ProfileOut, &c.FlowsOut}
 }
 
 // DefaultConfig returns a fast-running configuration faithful to the

@@ -116,9 +116,10 @@ func TestConfigAutoShards(t *testing.T) {
 
 // fastCfg returns a quick configuration for facade tests.
 func fastCfg() Config {
-	return NewConfig(TopoFBFLY,
-		WithShape(4, 2, 4),
-		WithWindow(100*time.Microsecond, 500*time.Microsecond))
+	cfg := DefaultConfig()
+	cfg.K, cfg.N, cfg.C = 4, 2, 4
+	cfg.Warmup, cfg.Duration = 100*time.Microsecond, 500*time.Microsecond
+	return cfg
 }
 
 func TestRunBaseline(t *testing.T) {

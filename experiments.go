@@ -29,34 +29,20 @@ type EvalConfig struct {
 	// RunGrid.
 	Parallel int
 
-	// Telemetry, when non-nil, gives every simulation its own metrics
-	// and trace files (see Config.MetricsOut / TraceOut): each base
-	// path gets a run-sequence suffix before its extension, e.g.
-	// "telemetry.csv" -> "telemetry.007.csv". Suffixes are assigned in
-	// configuration order before the runs fan out, so -parallel
-	// execution writes byte-identical files and stdout is untouched.
+	// Telemetry, when non-nil, gives every simulation its own output
+	// files: each output path the base Config carries (see
+	// Config.OutputPaths) gets a run-sequence suffix before its
+	// extension, e.g. "telemetry.csv" -> "telemetry.007.csv". Suffixes
+	// are assigned in configuration order before the runs fan out, so
+	// -parallel execution writes byte-identical files and stdout is
+	// untouched.
 	Telemetry *TelemetryOpts
 }
 
-// TelemetryOpts configures per-run telemetry for an experiment harness.
-// The same pointer threads through every grid of an evaluation, so the
-// run sequence numbers all its simulations consecutively.
+// TelemetryOpts numbers per-run output files. The same pointer threads
+// through every grid of an evaluation, so the run sequence numbers all
+// its simulations consecutively.
 type TelemetryOpts struct {
-	MetricsOut     string // base path for sampled time series ("" = off)
-	TraceOut       string // base path for Chrome trace files ("" = off)
-	HeatmapOut     string // base path for utilization heatmap CSVs ("" = off)
-	HistOut        string // base path for utilization histogram CSVs ("" = off)
-	ProfileOut     string // base path for engine self-profiles ("" = off)
-	FlowsOut       string // base path for flow-trace reports ("" = off)
-	FlowTrace      bool   // trace flows even without a FlowsOut file
-	FlowSample     float64
-	SampleInterval time.Duration
-
-	// Inspector, when non-nil, is shared by every simulation of the
-	// evaluation: the live endpoints always serve the most recently
-	// sampled run.
-	Inspector *Inspector
-
 	seq int // simulations numbered so far
 }
 
@@ -66,43 +52,19 @@ func numberedPath(path string, n int) string {
 	return fmt.Sprintf("%s.%03d%s", strings.TrimSuffix(path, ext), n, ext)
 }
 
-// Apply stamps per-run output paths onto each configuration, in order.
-// It is a no-op on a nil receiver or when every output is disabled.
+// Apply numbers each configuration's output paths, in order. It is a
+// no-op on a nil receiver.
 func (t *TelemetryOpts) Apply(cfgs []Config) {
-	if t == nil || (t.MetricsOut == "" && t.TraceOut == "" && t.HeatmapOut == "" &&
-		t.HistOut == "" && t.ProfileOut == "" && t.FlowsOut == "" &&
-		!t.FlowTrace && t.Inspector == nil) {
+	if t == nil {
 		return
 	}
 	for i := range cfgs {
-		n := t.seq
+		for _, p := range cfgs[i].OutputPaths() {
+			if *p != "" {
+				*p = numberedPath(*p, t.seq)
+			}
+		}
 		t.seq++
-		cfgs[i].SampleInterval = t.SampleInterval
-		cfgs[i].Inspector = t.Inspector
-		if t.FlowTrace {
-			cfgs[i].FlowTrace = true
-		}
-		if t.FlowSample > 0 {
-			cfgs[i].FlowSample = t.FlowSample
-		}
-		if t.FlowsOut != "" {
-			cfgs[i].FlowsOut = numberedPath(t.FlowsOut, n)
-		}
-		if t.MetricsOut != "" {
-			cfgs[i].MetricsOut = numberedPath(t.MetricsOut, n)
-		}
-		if t.TraceOut != "" {
-			cfgs[i].TraceOut = numberedPath(t.TraceOut, n)
-		}
-		if t.HeatmapOut != "" {
-			cfgs[i].HeatmapOut = numberedPath(t.HeatmapOut, n)
-		}
-		if t.HistOut != "" {
-			cfgs[i].HistOut = numberedPath(t.HistOut, n)
-		}
-		if t.ProfileOut != "" {
-			cfgs[i].ProfileOut = numberedPath(t.ProfileOut, n)
-		}
 	}
 }
 

@@ -379,14 +379,12 @@ func TestGridHeatmapDeterministic(t *testing.T) {
 		for _, policy := range []PolicyKind{PolicyHalveDouble, PolicyMinMax} {
 			cfg := fastCfg()
 			cfg.Policy = policy
+			cfg.HeatmapOut = filepath.Join(dir, base+"-heat.csv")
+			cfg.HistOut = filepath.Join(dir, base+"-hist.csv")
+			cfg.SampleInterval = 100 * time.Microsecond
 			cfgs = append(cfgs, cfg)
 		}
-		opts := &TelemetryOpts{
-			HeatmapOut:     filepath.Join(dir, base+"-heat.csv"),
-			HistOut:        filepath.Join(dir, base+"-hist.csv"),
-			SampleInterval: 100 * time.Microsecond,
-		}
-		opts.Apply(cfgs)
+		(&TelemetryOpts{}).Apply(cfgs)
 		return cfgs
 	}
 	serial := mkCfgs("serial")

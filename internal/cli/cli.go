@@ -1,8 +1,8 @@
 // Package cli is the one flag surface shared by every command that
-// builds an epnet.Config. Each binary used to own a hand-rolled copy of
-// the same two dozen flags with drifting names and defaults; now they
-// all Bind a Loader (plus an Outputs group for telemetry files) and
-// differ only in their command-specific flags.
+// builds an epnet.Config. The flags are not declared here: Bind walks
+// Config's struct tags (flag name and help text) and binds one flag per
+// tagged field, so a Config field and its flag cannot drift apart. The
+// commands differ only in their command-specific flags.
 //
 // Resolution precedence, lowest to highest:
 //
@@ -22,6 +22,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"time"
 
@@ -31,93 +33,72 @@ import (
 // Loader binds the shared simulation-config flags and resolves them to
 // an epnet.Config.
 type Loader struct {
-	fs   *flag.FlagSet
-	base epnet.Config
+	// Grid marks a command that runs many configurations (sweep,
+	// experiments): its help notes that output files are numbered per
+	// run, and flags tagged ",single-run" are not bound.
+	Grid bool
 
 	// Preset and Scenario mirror the -preset / -scenario flags.
 	Preset   string
 	Scenario string
+	// Listen mirrors -listen, the live inspection address: deployment
+	// wiring rather than a Config field.
+	Listen string
 
-	apply map[string]func(*epnet.Config)
+	fs    *flag.FlagSet
+	base  epnet.Config
+	flags epnet.Config   // the bound flag values, defaults from base
+	field map[string]int // flag name -> Config field index
+	insp  *epnet.Inspector
 }
 
 // Bind registers the config flags on fs with defaults drawn from base.
 func (l *Loader) Bind(fs *flag.FlagSet, base epnet.Config) {
-	l.fs, l.base = fs, base
-	l.apply = map[string]func(*epnet.Config){}
-
-	str := func(name, def, usage string, set func(*epnet.Config, string)) {
-		p := fs.String(name, def, usage)
-		l.apply[name] = func(c *epnet.Config) { set(c, *p) }
-	}
-	num := func(name string, def int, usage string, set func(*epnet.Config, int)) {
-		p := fs.Int(name, def, usage)
-		l.apply[name] = func(c *epnet.Config) { set(c, *p) }
-	}
-	f64 := func(name string, def float64, usage string, set func(*epnet.Config, float64)) {
-		p := fs.Float64(name, def, usage)
-		l.apply[name] = func(c *epnet.Config) { set(c, *p) }
-	}
-	boolean := func(name string, def bool, usage string, set func(*epnet.Config, bool)) {
-		p := fs.Bool(name, def, usage)
-		l.apply[name] = func(c *epnet.Config) { set(c, *p) }
-	}
-	dur := func(name string, def time.Duration, usage string, set func(*epnet.Config, time.Duration)) {
-		p := fs.Duration(name, def, usage)
-		l.apply[name] = func(c *epnet.Config) { set(c, *p) }
-	}
+	l.fs, l.base, l.flags = fs, base, base
+	l.field = map[string]int{}
 
 	fs.StringVar(&l.Preset, "preset", "",
 		"start from a named preset ("+strings.Join(epnet.PresetNames(), " | ")+"); other flags override it")
 	fs.StringVar(&l.Scenario, "scenario", "",
 		"run a scenario: an embedded name ("+strings.Join(epnet.ScenarioNames(), " | ")+"), a preset name, or a scenario JSON file; explicit flags override its config block")
+	fs.StringVar(&l.Listen, "listen", "",
+		`serve live inspection HTTP on this address (e.g. ":9090"): /metrics, /snapshot, /profile, /flows, /debug/pprof/`)
 
-	str("topology", string(base.Topology), "topology: fbfly | fattree | clos3",
-		func(c *epnet.Config, v string) { c.Topology = epnet.TopologyKind(v) })
-	num("k", base.K, "FBFLY radix per dimension (or fat-tree leaf/spine count)",
-		func(c *epnet.Config, v int) { c.K = v })
-	num("n", base.N, "FBFLY n (dimensions incl. host dimension)",
-		func(c *epnet.Config, v int) { c.N = v })
-	num("c", base.C, "concentration: hosts per switch",
-		func(c *epnet.Config, v int) { c.C = v })
-	str("workload", string(base.Workload), "workload: uniform | search | advert | permutation | hotspot | tornado | incast | migration | trace",
-		func(c *epnet.Config, v string) { c.Workload = epnet.WorkloadKind(v) })
-	str("trace", base.TracePath, "trace file for -workload trace (see tracegen)",
-		func(c *epnet.Config, v string) { c.TracePath = v })
-	f64("load", base.Load, "override workload average utilization (0 = workload default)",
-		func(c *epnet.Config, v float64) { c.Load = v })
-	str("policy", string(base.Policy), "policy: baseline | halve-double | min-max | hysteresis | static-min | queue-aware",
-		func(c *epnet.Config, v string) { c.Policy = epnet.PolicyKind(v) })
-	str("routing", "adaptive", "routing: adaptive | dor",
-		func(c *epnet.Config, v string) { c.Routing = epnet.RoutingKind(v) })
-	boolean("mode-aware", base.ModeAwareReactivation, "mode-aware reactivation penalties (CDR vs lane retraining)",
-		func(c *epnet.Config, v bool) { c.ModeAwareReactivation = v })
-	num("fail-links", base.FailLinks, "abruptly fail this many inter-switch link pairs mid-run",
-		func(c *epnet.Config, v int) { c.FailLinks = v })
-	str("faults", base.Faults, `deterministic fault schedule, e.g. "50us fail-link s0p8; 400us repair-link s0p8"`,
-		func(c *epnet.Config, v string) { c.Faults = v })
-	f64("fault-rate", base.FaultRate, "seeded-random faults per simulated millisecond",
-		func(c *epnet.Config, v float64) { c.FaultRate = v })
-	dur("fault-mttr", base.FaultMTTR, "mean time to repair for -fault-rate faults (default 200us)",
-		func(c *epnet.Config, v time.Duration) { c.FaultMTTR = v })
-	f64("target", base.TargetUtil, "target channel utilization",
-		func(c *epnet.Config, v float64) { c.TargetUtil = v })
-	boolean("independent", base.Independent, "tune unidirectional channels independently",
-		func(c *epnet.Config, v bool) { c.Independent = v })
-	dur("reactivation", base.Reactivation, "link reactivation time",
-		func(c *epnet.Config, v time.Duration) { c.Reactivation = v })
-	dur("epoch", base.Epoch, "utilization epoch (default 10x reactivation)",
-		func(c *epnet.Config, v time.Duration) { c.Epoch = v })
-	dur("warmup", base.Warmup, "warmup before measurement",
-		func(c *epnet.Config, v time.Duration) { c.Warmup = v })
-	dur("duration", base.Duration, "measurement window (scenarios derive it from their phases)",
-		func(c *epnet.Config, v time.Duration) { c.Duration = v })
-	p := fs.Int64("seed", base.Seed, "random seed")
-	l.apply["seed"] = func(c *epnet.Config) { c.Seed = *p }
-	num("shards", base.Shards, "parallel simulation shards (0 = auto: one per CPU; 1 = serial; results are byte-identical)",
-		func(c *epnet.Config, v int) { c.Shards = v })
-	boolean("dyntopo", base.DynTopo, "enable the dynamic topology controller",
-		func(c *epnet.Config, v bool) { c.DynTopo = v })
+	// The output path fields, by address: grid commands number them.
+	outputs := map[*string]bool{}
+	for _, p := range l.flags.OutputPaths() {
+		outputs[p] = true
+	}
+	v := reflect.ValueOf(&l.flags).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		tag := v.Type().Field(i).Tag
+		name, opt, _ := strings.Cut(tag.Get("flag"), ",")
+		if name == "" || (l.Grid && opt == "single-run") {
+			continue
+		}
+		help := tag.Get("help")
+		switch p := v.Field(i).Addr().Interface().(type) {
+		case *string:
+			if l.Grid && outputs[p] {
+				help += "; each run gets a numeric suffix (telemetry.csv -> telemetry.000.csv)"
+			}
+			fs.StringVar(p, name, *p, help)
+		case *int:
+			fs.IntVar(p, name, *p, help)
+		case *int64:
+			fs.Int64Var(p, name, *p, help)
+		case *float64:
+			fs.Float64Var(p, name, *p, help)
+		case *bool:
+			fs.BoolVar(p, name, *p, help)
+		case *time.Duration:
+			fs.DurationVar(p, name, *p, help)
+		default: // string-kinded enums: TopologyKind, WorkloadKind, ...
+			sp := v.Field(i).Addr().Convert(reflect.TypeOf((*string)(nil))).Interface().(*string)
+			fs.StringVar(sp, name, *sp, help)
+		}
+		l.field[name] = i
+	}
 }
 
 // Resolve builds the Config from the bound base.
@@ -125,6 +106,8 @@ func (l *Loader) Resolve() (epnet.Config, error) { return l.ResolveFrom(l.base) 
 
 // ResolveFrom builds the Config from an alternative base — the hook for
 // commands whose base is itself flag-selected (cmd/experiments' -full).
+// With -listen set, the first call starts the live inspector and every
+// resolved Config carries it.
 func (l *Loader) ResolveFrom(base epnet.Config) (epnet.Config, error) {
 	cfg := base
 	if l.Preset != "" {
@@ -141,130 +124,22 @@ func (l *Loader) ResolveFrom(base epnet.Config) (epnet.Config, error) {
 		}
 		cfg = s
 	}
+	dst, src := reflect.ValueOf(&cfg).Elem(), reflect.ValueOf(l.flags)
 	l.fs.Visit(func(f *flag.Flag) {
-		if apply, ok := l.apply[f.Name]; ok {
-			apply(&cfg)
+		if i, ok := l.field[f.Name]; ok {
+			dst.Field(i).Set(src.Field(i))
 		}
 	})
+	if l.Listen != "" && l.insp == nil {
+		insp, addr, err := epnet.StartInspector(l.Listen)
+		if err != nil {
+			return epnet.Config{}, err
+		}
+		fmt.Fprintf(os.Stderr, "%s: inspector listening on http://%s\n", filepath.Base(l.fs.Name()), addr)
+		l.insp = insp
+	}
+	if l.insp != nil {
+		cfg.Inspector = l.insp
+	}
 	return cfg, nil
-}
-
-// Outputs is the shared telemetry-output flag group: metric/trace/
-// heatmap/histogram/profile files, the sampling interval, and the live
-// inspection endpoint.
-type Outputs struct {
-	MetricsOut     string
-	TraceOut       string
-	HeatmapOut     string
-	HistOut        string
-	ProfileOut     string
-	FlowTrace      bool
-	FlowSample     float64
-	FlowsOut       string
-	SampleInterval time.Duration
-	Listen         string
-
-	component string
-}
-
-// BindOutputs registers the group on fs. component names the binary in
-// messages; perRun switches the help text for grid commands, whose
-// files get per-run numeric suffixes.
-func (o *Outputs) BindOutputs(fs *flag.FlagSet, component string, perRun bool) {
-	o.component = component
-	suffix := ""
-	if perRun {
-		suffix = "; each run gets a numeric suffix (telemetry.csv -> telemetry.000.csv)"
-	}
-	fs.StringVar(&o.MetricsOut, "metrics-out", "",
-		"write the sampled metric time series to this file (CSV, or JSON Lines with a .jsonl extension)"+suffix)
-	fs.StringVar(&o.TraceOut, "trace-out", "",
-		"write a Chrome trace_event JSON file (open in chrome://tracing or ui.perfetto.dev)"+suffix)
-	fs.StringVar(&o.HeatmapOut, "heatmap-out", "",
-		"write the per-link utilization x time heatmap CSV to this file"+suffix)
-	fs.StringVar(&o.HistOut, "hist-out", "",
-		"write the link-utilization histogram CSV (Fig 8 view) to this file"+suffix)
-	fs.StringVar(&o.ProfileOut, "profile-out", "",
-		"write the engine self-profile to this file (JSON, or CSV with a .csv extension)"+suffix)
-	fs.BoolVar(&o.FlowTrace, "flow-trace", false,
-		"hash-sample packets and decompose their latency per hop (queue/credit/retune/busy/cut-through/serialize/wire/route)")
-	fs.Float64Var(&o.FlowSample, "flow-sample", 0,
-		"flow-tracing sample rate in (0,1] (default 1/64; 1 traces every packet)")
-	fs.StringVar(&o.FlowsOut, "flows-out", "",
-		"write the flow-trace report to this file (JSON, or per-phase CSV with a .csv extension); implies -flow-trace"+suffix)
-	fs.DurationVar(&o.SampleInterval, "sample-interval", 0,
-		"metrics sampling period (default: one epoch)")
-	fs.StringVar(&o.Listen, "listen", "",
-		`serve live inspection HTTP on this address (e.g. ":9090"): /metrics, /snapshot, /profile, /flows, /debug/pprof/`)
-}
-
-// inspector starts the live endpoint when -listen is set, announcing it
-// on stderr like every command always has.
-func (o *Outputs) inspector() (*epnet.Inspector, error) {
-	if o.Listen == "" {
-		return nil, nil
-	}
-	insp, addr, err := epnet.StartInspector(o.Listen)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(os.Stderr, "%s: inspector listening on http://%s\n", o.component, addr)
-	return insp, nil
-}
-
-// Stamp applies the group to one Config — the single-run (epsim) path.
-func (o *Outputs) Stamp(cfg *epnet.Config) error {
-	cfg.MetricsOut = o.MetricsOut
-	cfg.TraceOut = o.TraceOut
-	cfg.HeatmapOut = o.HeatmapOut
-	cfg.HistOut = o.HistOut
-	cfg.ProfileOut = o.ProfileOut
-	if o.FlowTrace {
-		cfg.FlowTrace = true
-	}
-	if o.FlowSample > 0 {
-		cfg.FlowSample = o.FlowSample
-	}
-	if o.FlowsOut != "" {
-		cfg.FlowsOut = o.FlowsOut
-	}
-	cfg.SampleInterval = o.SampleInterval
-	if o.TraceOut != "" && cfg.Shards == 0 {
-		// Auto-sharding (Shards == 0) resolves to the serial engine when
-		// packet tracing is on — say so instead of silently running
-		// serial. An explicit -shards > 1 with -trace-out is rejected by
-		// Validate with a ConfigFieldError.
-		fmt.Fprintf(os.Stderr, "%s: -trace-out needs the serial engine; running with shards=1\n",
-			o.component)
-	}
-	insp, err := o.inspector()
-	if err != nil {
-		return err
-	}
-	if insp != nil {
-		cfg.Inspector = insp
-	}
-	return nil
-}
-
-// Telemetry converts the group to per-run telemetry options — the grid
-// (sweep, experiments) path.
-func (o *Outputs) Telemetry() (*epnet.TelemetryOpts, error) {
-	t := &epnet.TelemetryOpts{
-		MetricsOut:     o.MetricsOut,
-		TraceOut:       o.TraceOut,
-		HeatmapOut:     o.HeatmapOut,
-		HistOut:        o.HistOut,
-		ProfileOut:     o.ProfileOut,
-		FlowsOut:       o.FlowsOut,
-		FlowTrace:      o.FlowTrace,
-		FlowSample:     o.FlowSample,
-		SampleInterval: o.SampleInterval,
-	}
-	insp, err := o.inspector()
-	if err != nil {
-		return nil, err
-	}
-	t.Inspector = insp
-	return t, nil
 }

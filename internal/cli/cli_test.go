@@ -4,6 +4,8 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -91,6 +93,23 @@ func TestLoaderPrecedence(t *testing.T) {
 		t.Errorf("explicit -seed clobbered the scenario's k: %d", got.K)
 	}
 
+	// Output paths follow the same precedence: a scenario's config block
+	// sets them, and an explicit output flag overrides only its own.
+	outDoc := `{"version": 1, "config": {"metrics_out": "m.csv", "flows_out": "f.json", "sample_interval": "50us"},
+	  "phases": [{"name": "only", "duration": "100us",
+	    "traffic": [{"workload": "uniform"}]}]}`
+	outPath := filepath.Join(dir, "out.json")
+	if err := os.WriteFile(outPath, []byte(outDoc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got = resolve(t, base, "-scenario", outPath, "-flows-out", "g.json")
+	if got.MetricsOut != "m.csv" || got.SampleInterval != 50*time.Microsecond {
+		t.Errorf("scenario output settings dropped: metrics=%q interval=%v", got.MetricsOut, got.SampleInterval)
+	}
+	if got.FlowsOut != "g.json" {
+		t.Errorf("explicit -flows-out lost to the scenario: %q", got.FlowsOut)
+	}
+
 	// Unknown references and bad scenario files are loader errors.
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	var l Loader
@@ -122,5 +141,52 @@ func TestResolveFrom(t *testing.T) {
 	}
 	if got.Warmup != 77*time.Microsecond {
 		t.Errorf("explicit flag not applied over the alternative base: %v", got.Warmup)
+	}
+}
+
+// TestLoaderPrecedenceEveryFlag walks every bound Config flag: a
+// scenario's config block beats the base, and an explicit flag beats the
+// scenario.
+func TestLoaderPrecedenceEveryFlag(t *testing.T) {
+	var l Loader
+	l.Bind(flag.NewFlagSet("test", flag.ContinueOnError), epnet.DefaultConfig())
+	typ := reflect.TypeOf(epnet.Config{})
+	dir := t.TempDir()
+	for name, i := range l.field {
+		f := typ.Field(i)
+		key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		// Two distinct non-default values: the scenario's (JSON) and the
+		// flag's (command-line text).
+		var inScenario, onFlag string
+		switch f.Type.Kind() {
+		case reflect.String:
+			inScenario, onFlag = `"from-scenario"`, "from-flag"
+		case reflect.Bool:
+			inScenario, onFlag = "true", "false"
+		case reflect.Float64:
+			inScenario, onFlag = "0.25", "0.5"
+		case reflect.Int, reflect.Int64:
+			if f.Type == reflect.TypeOf(time.Duration(0)) {
+				inScenario, onFlag = `"3us"`, "5us"
+			} else {
+				inScenario, onFlag = "3", "5"
+			}
+		default:
+			t.Fatalf("-%s: no test values for %v", name, f.Type)
+		}
+		doc := `{"version": 1, "config": {"` + key + `": ` + inScenario + `},
+		  "phases": [{"name": "only", "duration": "100us", "traffic": [{"workload": "uniform"}]}]}`
+		path := filepath.Join(dir, key+".json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fromScenario := reflect.ValueOf(resolve(t, epnet.DefaultConfig(), "-scenario", path)).Field(i)
+		fromFlag := reflect.ValueOf(resolve(t, epnet.DefaultConfig(), "-scenario", path, "-"+name+"="+onFlag)).Field(i)
+		if def := reflect.ValueOf(epnet.DefaultConfig()).Field(i); fromScenario.Equal(def) {
+			t.Errorf("-%s: scenario value %s did not apply", name, inScenario)
+		}
+		if fromFlag.Equal(fromScenario) {
+			t.Errorf("-%s: explicit flag %s lost to the scenario's %s", name, onFlag, inScenario)
+		}
 	}
 }

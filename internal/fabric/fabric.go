@@ -164,9 +164,6 @@ func (c *Chan) returnCredits(n int, now sim.Time) {
 	}
 }
 
-// Credits returns the available credits (tests and diagnostics).
-func (c *Chan) Credits() int64 { return c.credits }
-
 // Failed reports whether the channel is hard-failed (fault injection).
 func (c *Chan) Failed() bool { return c.net.chanCold[c.idx].failed }
 
@@ -258,7 +255,6 @@ type Network struct {
 	nextPktID     int64
 	nextMsgID     int64
 	injectedPkts  int64
-	injectedMsgs  int64
 	injectedBytes int64
 
 	// Fault accounting. faultsEnabled gates every fault check on the
@@ -501,7 +497,6 @@ func (n *Network) InjectMessage(src, dst, size int) {
 	now := n.E.Now()
 	h := n.Hosts[src]
 	n.nextMsgID++
-	n.injectedMsgs++
 	if n.Tracer != nil {
 		n.Tracer.Instant("inject", "traffic", telemetry.PIDPackets, src, now,
 			fmt.Sprintf(`"msg":%d,"dst":%d,"bytes":%d`, n.nextMsgID, dst, size))
@@ -670,9 +665,6 @@ func (n *Network) EnableFaults() {
 	}
 }
 
-// FaultsEnabled reports whether EnableFaults has been called.
-func (n *Network) FaultsEnabled() bool { return n.faultsEnabled }
-
 // FailChan hard-fails one directed channel: the link powers off with no
 // drain, and any packet in flight across it is dropped on arrival.
 // Requires EnableFaults. The caller is responsible for masking the
@@ -783,9 +775,6 @@ func (n *Network) UnattributedDrops() int64 {
 	}
 	return total
 }
-
-// InjectedMessages returns the number of messages offered.
-func (n *Network) InjectedMessages() int64 { return n.injectedMsgs }
 
 // PacketsPerMessage returns how many packets message size bytes
 // segments into under the current configuration.

@@ -704,9 +704,6 @@ func (n *Network) SetProfiler(p *telemetry.EngineProfiler) {
 	}
 }
 
-// Profiler returns the attached engine self-profiler, or nil.
-func (n *Network) Profiler() *telemetry.EngineProfiler { return n.prof }
-
 // SetFlowCollector attaches (or with nil, detaches) a flow-trace
 // collector: from then on injected packets are hash-sampled and carry
 // hop logs (see telemetry.FlowCollector). Call while the network is

@@ -1,8 +1,6 @@
 package power
 
 import (
-	"sort"
-
 	"epnet/internal/link"
 	"epnet/internal/sim"
 )
@@ -75,30 +73,4 @@ func (a *Attribution) Add(name, class string, occ link.Occupancy, util float64) 
 	}
 	a.Channels = append(a.Channels, ce)
 	return ce
-}
-
-// TotalEnergyJ sums the attributed energy over all channels.
-func (a *Attribution) TotalEnergyJ() float64 {
-	var total float64
-	for _, ce := range a.Channels {
-		total += ce.EnergyJ
-	}
-	return total
-}
-
-// TopByEnergy returns up to n channel entries sorted by descending
-// energy (ties broken by name for determinism).
-func (a *Attribution) TopByEnergy(n int) []ChannelEnergy {
-	out := make([]ChannelEnergy, len(a.Channels))
-	copy(out, a.Channels)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].EnergyJ != out[j].EnergyJ {
-			return out[i].EnergyJ > out[j].EnergyJ
-		}
-		return out[i].Name < out[j].Name
-	})
-	if n < len(out) {
-		out = out[:n]
-	}
-	return out
 }

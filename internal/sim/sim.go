@@ -200,14 +200,7 @@ type Engine struct {
 const defaultQueueCap = 4096
 
 // New returns a new simulation engine starting at time zero.
-func New() *Engine { return NewWithCapacity(defaultQueueCap) }
-
-// NewWithCapacity returns a new engine whose event queue is pre-sized
-// for n pending events. Use it when the expected queue depth is known
-// (e.g. tiny test engines, or very large fabrics).
-func NewWithCapacity(n int) *Engine {
-	return &Engine{queue: make(eventQueue, 0, n)}
-}
+func New() *Engine { return &Engine{queue: make(eventQueue, 0, defaultQueueCap)} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }

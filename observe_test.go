@@ -125,8 +125,11 @@ func TestRunWritesChromeTrace(t *testing.T) {
 }
 
 func TestTelemetryOptsApply(t *testing.T) {
-	opts := &TelemetryOpts{MetricsOut: "m.csv", TraceOut: "t.json", ProfileOut: "p.json"}
+	opts := &TelemetryOpts{}
 	cfgs := make([]Config, 3)
+	for i := range cfgs {
+		cfgs[i].MetricsOut, cfgs[i].TraceOut, cfgs[i].ProfileOut = "m.csv", "t.json", "p.json"
+	}
 	opts.Apply(cfgs[:2])
 	opts.Apply(cfgs[2:]) // sequence continues across grids
 	want := []string{"m.000.csv", "m.001.csv", "m.002.csv"}
@@ -141,13 +144,28 @@ func TestTelemetryOptsApply(t *testing.T) {
 			t.Errorf("cfg %d ProfileOut = %q, want %q", i, cfg.ProfileOut, wantProf)
 		}
 	}
-	// Disabled opts leave configurations untouched.
+	// Every output path is numbered; a nil sequencer and unset paths
+	// leave configurations untouched.
+	all := make([]Config, 1)
+	for _, p := range all[0].OutputPaths() {
+		*p = "x.out"
+	}
+	(&TelemetryOpts{}).Apply(all)
+	for i, p := range all[0].OutputPaths() {
+		if *p != "x.000.out" {
+			t.Errorf("output path %d = %q, want it numbered", i, *p)
+		}
+	}
 	var off *TelemetryOpts
 	plain := make([]Config, 1)
+	plain[0].MetricsOut = "m.csv"
 	off.Apply(plain)
+	if plain[0].MetricsOut != "m.csv" {
+		t.Errorf("nil sequencer numbered a path: %q", plain[0].MetricsOut)
+	}
 	(&TelemetryOpts{}).Apply(plain)
-	if plain[0].MetricsOut != "" || plain[0].TraceOut != "" || plain[0].ProfileOut != "" {
-		t.Errorf("disabled telemetry stamped paths: %+v", plain[0])
+	if plain[0].TraceOut != "" {
+		t.Errorf("unset path got a number: %q", plain[0].TraceOut)
 	}
 }
 
@@ -161,13 +179,11 @@ func TestGridTelemetryDeterministic(t *testing.T) {
 		for _, policy := range []PolicyKind{PolicyHalveDouble, PolicyMinMax} {
 			cfg := observeConfig()
 			cfg.Policy = policy
+			cfg.MetricsOut = filepath.Join(dir, base+".csv")
+			cfg.SampleInterval = 100 * time.Microsecond
 			cfgs = append(cfgs, cfg)
 		}
-		opts := &TelemetryOpts{
-			MetricsOut:     filepath.Join(dir, base+".csv"),
-			SampleInterval: 100 * time.Microsecond,
-		}
-		opts.Apply(cfgs)
+		(&TelemetryOpts{}).Apply(cfgs)
 		return cfgs
 	}
 	serial := mkCfgs("serial")
