@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-json bench-compare fmt fmt-check experiments smoke-faults smoke-scenarios smoke-flows smoke-scale observe-demo profile-demo
+.PHONY: all build test race vet perfbench-check bench bench-json bench-compare fmt fmt-check experiments smoke-faults smoke-scenarios smoke-flows smoke-scale observe-demo profile-demo
 
 all: build test
 
@@ -19,6 +19,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench is its own module, so ./... above never compiles it; vet and
+# test it against the current internal APIs it calls.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # Hot-path microbenchmarks: event engine scheduling and fabric
 # packet throughput (ns/op, allocs/op), plus the figure regenerators.

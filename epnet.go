@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"epnet/internal/fault"
+	"epnet/internal/sim"
 )
 
 // PolicyKind selects the link-rate control policy for a simulation.
@@ -371,6 +372,32 @@ func PaperConfig() Config {
 	return c
 }
 
+// entities returns the topology's hosts + switches, saturating just
+// above sim.MaxLaneID so that no K, N or C can overflow the count.
+func (c *Config) entities() int {
+	const limit = sim.MaxLaneID + 1
+	mul := func(a, b int) int {
+		if a > limit/b {
+			return limit
+		}
+		return min(a*b, limit)
+	}
+	switch c.Topology {
+	case TopoFatTree: // C hosts on each of K leaves, plus K spines
+		return mul(c.K, c.C) + mul(c.K, 2)
+	case TopoClos3: // K^3/4 hosts, K^2 edge+agg and K^2/4 core switches
+		half := c.K / 2
+		edges := mul(c.K, half)
+		return mul(edges, half) + 2*edges + mul(half, half)
+	default: // K^(N-1) switches with C hosts each
+		sw := 1
+		for i := 1; i < c.N && sw < limit; i++ {
+			sw = mul(sw, c.K)
+		}
+		return mul(sw, c.C) + sw
+	}
+}
+
 // Validate fills defaults and rejects inconsistent configurations.
 // Every error it returns matches ErrInvalidConfig under errors.Is and
 // carries the offending field name in a *ConfigFieldError; unknown enum
@@ -396,6 +423,14 @@ func (c *Config) Validate() error {
 	}
 	if c.Topology == TopoFBFLY && c.N < 2 {
 		return fieldErr("N", "must be >= 2, got %d", c.N)
+	}
+	if c.entities() > sim.MaxLaneID {
+		field := "K"
+		if c.Topology == TopoFBFLY {
+			field = "N"
+		}
+		return fieldErr(field, "%s with k=%d n=%d c=%d has more than %d hosts + switches",
+			c.Topology, c.K, c.N, c.C, sim.MaxLaneID)
 	}
 	if c.Scenario != nil {
 		if err := c.validateScenario(); err != nil {

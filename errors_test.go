@@ -2,6 +2,7 @@ package epnet
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,20 @@ import (
 // checks the returned error (a) matches ErrInvalidConfig, (b) is a
 // *ConfigFieldError naming exactly the offending field, and (c) for
 // enum fields also matches the dedicated sentinel.
+// A topology of exactly sim.MaxLaneID hosts + switches fits the
+// engine's lane space; one more host per switch does not.
+func TestConfigLaneLimitBoundary(t *testing.T) {
+	fits := Config{K: 349525, N: 2, C: 2, Duration: time.Millisecond} // 3 x 349525 = 2^20-1
+	if err := fits.Validate(); err != nil {
+		t.Errorf("config at the lane limit rejected: %v", err)
+	}
+	over := fits
+	over.C = 3
+	if err := over.Validate(); err == nil {
+		t.Error("config past the lane limit accepted")
+	}
+}
+
 func TestConfigErrorsCarryFieldNames(t *testing.T) {
 	base := func() Config { return Config{K: 4, N: 2, C: 4, Duration: time.Millisecond} }
 	cases := []struct {
@@ -24,6 +39,16 @@ func TestConfigErrorsCarryFieldNames(t *testing.T) {
 		{"K", func(c *Config) { c.Topology = TopoClos3; c.K = 5 }, nil},
 		{"C", func(c *Config) { c.C = 0 }, nil},
 		{"N", func(c *Config) { c.N = 1 }, nil},
+		// Hosts + switches past the engine's lane space, including
+		// sizes whose naive product would overflow.
+		{"N", func(c *Config) { c.K, c.N, c.C = 8, 7, 8 }, nil},
+		{"N", func(c *Config) { c.K, c.N = 2, math.MaxInt }, nil},
+		{"N", func(c *Config) { c.K, c.N = math.MaxInt, 3 }, nil},
+		{"N", func(c *Config) { c.C = math.MaxInt }, nil},
+		{"K", func(c *Config) { c.Topology = TopoFatTree; c.K, c.C = 1<<20, 1 }, nil},
+		{"K", func(c *Config) { c.Topology = TopoFatTree; c.K, c.C = math.MaxInt, math.MaxInt }, nil},
+		{"K", func(c *Config) { c.Topology = TopoClos3; c.K = 256 }, nil},
+		{"K", func(c *Config) { c.Topology = TopoClos3; c.K = math.MaxInt - 1 }, nil},
 		{"TracePath", func(c *Config) { c.Workload = WorkloadTrace }, nil},
 		{"Workload", func(c *Config) { c.Workload = "netflix" }, ErrUnknownWorkload},
 		{"Policy", func(c *Config) { c.Policy = "magic" }, ErrUnknownPolicy},

@@ -25,7 +25,8 @@ import (
 
 // Config holds the fabric's physical parameters.
 type Config struct {
-	// Ladder is the set of rates every channel supports.
+	// Ladder is the set of rates every channel supports; the zero
+	// value selects link.DefaultLadder.
 	Ladder link.RateLadder
 	// MaxPacket is the segmentation size for messages, bytes.
 	MaxPacket int
@@ -71,7 +72,7 @@ func DefaultConfig() Config {
 
 // validate fills defaults and rejects nonsense.
 func (c *Config) validate() error {
-	if c.Ladder == nil {
+	if c.Ladder == (link.RateLadder{}) {
 		c.Ladder = link.DefaultLadder()
 	}
 	if err := c.Ladder.Validate(); err != nil {
@@ -431,7 +432,7 @@ func New(e *sim.Engine, t topo.Topology, r routing.Router, cfg Config) (*Network
 // workers as long as each idx is written exactly once.
 func (n *Network) initChan(idx int, src, dst topo.Endpoint, credits int64) *Chan {
 	l := &n.linkArr[idx]
-	l.Init(n.Cfg.Ladder)
+	l.Init(&n.Cfg.Ladder)
 	c := &n.chanArr[idx]
 	*c = Chan{
 		L:       l,

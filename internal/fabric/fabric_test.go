@@ -42,11 +42,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(e, f, r, bad); err == nil {
 		t.Error("negative delay accepted")
 	}
-	// Nil ladder defaults.
+	// The zero ladder defaults.
 	ok := DefaultConfig()
-	ok.Ladder = nil
+	ok.Ladder = link.RateLadder{}
 	if _, err := New(e, f, r, ok); err != nil {
-		t.Errorf("nil ladder rejected: %v", err)
+		t.Errorf("zero ladder rejected: %v", err)
 	}
 }
 

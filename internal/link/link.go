@@ -11,7 +11,6 @@ package link
 
 import (
 	"fmt"
-	"sort"
 
 	"epnet/internal/sim"
 )
@@ -51,8 +50,13 @@ func (r Rate) TransmitTime(n int) sim.Time {
 	return sim.Time(bits * (1_000_000_000_000 / int64(r/1000)) / 1000)
 }
 
-// RateLadder is the ordered set of rates a channel can operate at.
-type RateLadder []Rate
+// NumRates is the number of rungs on a rate ladder.
+const NumRates = 5
+
+// RateLadder is the ordered set of rates a channel can operate at,
+// slowest first. Per-rate accounts are arrays indexed by rung, the
+// rate's position on the ladder.
+type RateLadder [NumRates]Rate
 
 // DefaultLadder is the evaluation ladder of §4.1: 40 Gb/s maximum,
 // detunable to 20, 10, 5 and 2.5 Gb/s.
@@ -60,12 +64,9 @@ func DefaultLadder() RateLadder {
 	return RateLadder{Rate2_5G, Rate5G, Rate10G, Rate20G, Rate40G}
 }
 
-// Validate checks that the ladder is non-empty, strictly increasing and
+// Validate checks that the ladder is strictly increasing and
 // all-positive.
 func (l RateLadder) Validate() error {
-	if len(l) == 0 {
-		return fmt.Errorf("link: empty rate ladder")
-	}
 	for i, r := range l {
 		if r <= 0 {
 			return fmt.Errorf("link: non-positive rate %d in ladder", r)
@@ -79,7 +80,7 @@ func (l RateLadder) Validate() error {
 
 // Min and Max return the slowest and fastest rates of the ladder.
 func (l RateLadder) Min() Rate { return l[0] }
-func (l RateLadder) Max() Rate { return l[len(l)-1] }
+func (l RateLadder) Max() Rate { return l[NumRates-1] }
 
 // Index returns the position of r in the ladder, or -1.
 func (l RateLadder) Index(r Rate) int {
@@ -109,7 +110,7 @@ func (l RateLadder) Up(r Rate) Rate {
 	if i < 0 {
 		panic(fmt.Sprintf("link: rate %v not on ladder", r))
 	}
-	if i == len(l)-1 {
+	if i == NumRates-1 {
 		return r
 	}
 	return l[i+1]
@@ -217,38 +218,14 @@ func (m ReactivationModel) Penalty(from, to Mode) sim.Time {
 }
 
 // Occupancy is a time-weighted account of channel state: how long the
-// channel spent at each rate (while Active or Reconfiguring toward that
-// rate) and how long it was Off.
+// channel spent at each rung of its ladder (while Active or
+// Reconfiguring toward that rate) and how long it was Off. AtRate[i] is
+// the time at Ladder[i].
 type Occupancy struct {
-	AtRate map[Rate]sim.Time
+	Ladder RateLadder
+	AtRate [NumRates]sim.Time
 	Off    sim.Time
 	Total  sim.Time
-}
-
-// Fraction returns the share of total time spent at rate r.
-func (o Occupancy) Fraction(r Rate) float64 {
-	if o.Total == 0 {
-		return 0
-	}
-	return float64(o.AtRate[r]) / float64(o.Total)
-}
-
-// OffFraction returns the share of total time spent powered off.
-func (o Occupancy) OffFraction() float64 {
-	if o.Total == 0 {
-		return 0
-	}
-	return float64(o.Off) / float64(o.Total)
-}
-
-// Rates returns the rates present in the occupancy, ascending.
-func (o Occupancy) Rates() []Rate {
-	out := make([]Rate, 0, len(o.AtRate))
-	for r := range o.AtRate {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Channel is one unidirectional half of a physical link. It is a passive
@@ -260,14 +237,14 @@ type Channel struct {
 	// Identity, for reports.
 	Name string
 
-	ladder RateLadder
-	rate   Rate
+	ladder *RateLadder // shared by every channel of a fabric
+	rung   uint8       // ladder index of the configured rate
 	state  State
 
-	// cap, when non-zero, pins the channel at or below this rate: a
-	// degraded lane keeps the SerDes from training its full mode
-	// (fault injection). SetRate and PowerOn clamp against it.
-	cap Rate
+	// capRung pins the channel at or below that rung (NumRates when
+	// uncapped): a degraded lane keeps the SerDes from training its full
+	// mode (fault injection). SetRate and PowerOn clamp against it.
+	capRung uint8
 
 	// reconfigUntil is when the current reactivation completes.
 	reconfigUntil sim.Time
@@ -278,7 +255,7 @@ type Channel struct {
 	// Accounting.
 	lastChange     sim.Time
 	accountedSince sim.Time
-	atRate         map[Rate]sim.Time
+	atRate         [NumRates]sim.Time // indexed by rung
 	offTime        sim.Time
 
 	// Epoch utilization accounting. Utilization is measured as the
@@ -301,7 +278,7 @@ func NewChannel(name string, ladder RateLadder) (*Channel, error) {
 		return nil, err
 	}
 	c := &Channel{Name: name}
-	c.Init(ladder)
+	c.Init(&ladder)
 	return c, nil
 }
 
@@ -309,16 +286,16 @@ func NewChannel(name string, ladder RateLadder) (*Channel, error) {
 // maximum rate — the value-type counterpart of NewChannel for callers
 // that keep channels in dense backing arrays (one allocation for the
 // whole fabric instead of one per channel). The ladder must already be
-// validated; a fabric validates its shared ladder once. Any prior state
-// of c except Name is discarded; accounting maps are allocated lazily
-// on the first rate transition, so an untouched channel costs exactly
-// its struct size.
-func (c *Channel) Init(ladder RateLadder) {
+// validated and must outlive c; a fabric validates its one ladder and
+// shares it with every channel. Any prior state of c except Name is
+// discarded.
+func (c *Channel) Init(ladder *RateLadder) {
 	*c = Channel{
-		Name:   c.Name,
-		ladder: ladder,
-		rate:   ladder.Max(),
-		state:  Active,
+		Name:    c.Name,
+		ladder:  ladder,
+		rung:    NumRates - 1,
+		capRung: NumRates,
+		state:   Active,
 	}
 }
 
@@ -332,11 +309,21 @@ func MustChannel(name string, ladder RateLadder) *Channel {
 }
 
 // Ladder returns the channel's rate ladder.
-func (c *Channel) Ladder() RateLadder { return c.ladder }
+func (c *Channel) Ladder() RateLadder { return *c.ladder }
 
 // Rate returns the current configured rate. During reconfiguration this
 // is the rate being configured.
-func (c *Channel) Rate() Rate { return c.rate }
+func (c *Channel) Rate() Rate { return c.ladder[c.rung] }
+
+// rungOf returns the ladder index of r clamped to the rate cap. It
+// panics when r is not on the ladder.
+func (c *Channel) rungOf(r Rate) uint8 {
+	i := c.ladder.Index(r)
+	if i < 0 {
+		panic(fmt.Sprintf("link %s: rate %v not on ladder", c.Name, r))
+	}
+	return min(uint8(i), c.capRung)
+}
 
 // State returns the current operational state at time now, folding in
 // any reactivation that has completed.
@@ -363,13 +350,7 @@ func (c *Channel) account(now sim.Time) {
 	} else {
 		// Reconfiguration time is charged at the target rate, a
 		// conservative choice: the SerDes is powered while re-locking.
-		// The map is lazy: channels that never close an accounting slice
-		// (idle links in a fabric of hundreds of thousands) never pay
-		// for it.
-		if c.atRate == nil {
-			c.atRate = make(map[Rate]sim.Time, len(c.ladder))
-		}
-		c.atRate[c.rate] += dt
+		c.atRate[c.rung] += dt
 	}
 	c.lastChange = now
 }
@@ -379,15 +360,12 @@ func (c *Channel) account(now sim.Time) {
 // and the channel is active. Setting a rate on an Off channel powers it
 // back on (also paying the reactivation time).
 func (c *Channel) SetRate(now sim.Time, r Rate, reactivation sim.Time) {
-	if c.ladder.Index(r) < 0 {
-		panic(fmt.Sprintf("link %s: rate %v not on ladder", c.Name, r))
-	}
-	r = c.ClampRate(r)
-	if c.state != Off && c.rate == r && c.State(now) == Active {
+	rung := c.rungOf(r)
+	if c.state != Off && c.rung == rung && c.State(now) == Active {
 		return
 	}
 	c.account(now)
-	c.rate = r
+	c.rung = rung
 	c.state = Reconfiguring
 	c.reconfigUntil = now + reactivation
 	if reactivation == 0 {
@@ -412,13 +390,14 @@ func (c *Channel) PowerOff(now sim.Time) {
 }
 
 // PowerOn powers the channel back up at rate r, paying reactivation.
+// It panics when r is not on the ladder.
 func (c *Channel) PowerOn(now sim.Time, r Rate, reactivation sim.Time) {
 	if c.state != Off {
 		return
 	}
 	c.account(now)
 	c.state = Active
-	c.rate = c.ClampRate(r)
+	c.rung = c.rungOf(r)
 	if reactivation > 0 {
 		c.state = Reconfiguring
 		c.reconfigUntil = now + reactivation
@@ -436,31 +415,34 @@ func (c *Channel) PowerOn(now sim.Time, r Rate, reactivation sim.Time) {
 // clearing the cap never retunes by itself — the rate controller (or
 // RestoreRate) decides when to climb back.
 func (c *Channel) SetRateCap(now sim.Time, cap Rate, reactivation sim.Time) {
-	if cap != 0 && c.ladder.Index(cap) < 0 {
-		panic(fmt.Sprintf("link %s: rate cap %v not on ladder", c.Name, cap))
+	rung := uint8(NumRates)
+	if cap != 0 {
+		i := c.ladder.Index(cap)
+		if i < 0 {
+			panic(fmt.Sprintf("link %s: rate cap %v not on ladder", c.Name, cap))
+		}
+		rung = uint8(i)
 	}
-	c.cap = cap
-	if cap != 0 && c.state != Off && c.rate > cap {
+	c.capRung = rung
+	if c.state != Off && c.rung > rung {
 		c.SetRate(now, cap, reactivation)
 	}
 }
 
 // RateCap returns the current rate cap (0 = uncapped).
-func (c *Channel) RateCap() Rate { return c.cap }
+func (c *Channel) RateCap() Rate {
+	if c.capRung == NumRates {
+		return 0
+	}
+	return c.ladder[c.capRung]
+}
 
-// ClampRate returns r limited to the channel's rate cap: the largest
-// ladder rate <= cap when r exceeds it, else r unchanged.
+// ClampRate returns r limited to the channel's rate cap.
 func (c *Channel) ClampRate(r Rate) Rate {
-	if c.cap == 0 || r <= c.cap {
-		return r
+	if cap := c.RateCap(); cap != 0 && r > cap {
+		return cap
 	}
-	best := c.ladder.Min()
-	for _, v := range c.ladder {
-		if v <= c.cap && v > best {
-			best = v
-		}
-	}
-	return best
+	return r
 }
 
 // AvailableAt returns the earliest time >= now at which the channel can
@@ -505,7 +487,7 @@ func (c *Channel) StartTransmit(start sim.Time, n int) sim.Time {
 		// Reactivation has completed (start >= reconfigUntil).
 		c.state = Active
 	}
-	done := start + c.rate.TransmitTime(n)
+	done := start + c.Rate().TransmitTime(n)
 	c.busyUntil = done
 	c.busyBase += c.curEnd - c.curStart
 	c.curStart, c.curEnd = start, done
@@ -530,13 +512,6 @@ func (c *Channel) busyUpTo(t sim.Time) sim.Time {
 // across the warmup boundary (the utilization heatmap's cells) stay
 // well defined.
 func (c *Channel) BusyTime(now sim.Time) sim.Time { return c.busyUpTo(now) }
-
-func min(a, b sim.Time) sim.Time {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 // EpochUtilization returns the channel utilization over the epoch that
 // ran from the last ResetEpoch to now: the fraction of that window the
@@ -577,7 +552,7 @@ func (c *Channel) TotalPackets() int64 { return c.totalPackets }
 // preserved.
 func (c *Channel) ResetAccounting(now sim.Time) {
 	c.account(now)
-	c.atRate = nil // reallocated lazily by the next account slice
+	c.atRate = [NumRates]sim.Time{}
 	c.offTime = 0
 	c.totalBytes = 0
 	c.totalPackets = 0
@@ -595,14 +570,11 @@ func (c *Channel) AccountedSince() sim.Time { return c.accountedSince }
 // time-at-rate distribution.
 func (c *Channel) Occupancy(now sim.Time) Occupancy {
 	c.account(now)
-	at := make(map[Rate]sim.Time, len(c.atRate))
-	var total sim.Time
-	for r, t := range c.atRate {
-		at[r] = t
-		total += t
+	o := Occupancy{Ladder: *c.ladder, AtRate: c.atRate, Off: c.offTime, Total: c.offTime}
+	for _, t := range c.atRate {
+		o.Total += t
 	}
-	total += c.offTime
-	return Occupancy{AtRate: at, Off: c.offTime, Total: total}
+	return o
 }
 
 // MeanUtilization returns bytes since accounting began over the

@@ -73,16 +73,13 @@ func TestLadder(t *testing.T) {
 }
 
 func TestLadderValidation(t *testing.T) {
-	if err := (RateLadder{}).Validate(); err == nil {
-		t.Error("empty ladder accepted")
-	}
-	if err := (RateLadder{Rate10G, Rate5G}).Validate(); err == nil {
+	if err := (RateLadder{Rate2_5G, Rate10G, Rate5G, Rate20G, Rate40G}).Validate(); err == nil {
 		t.Error("non-increasing ladder accepted")
 	}
-	if err := (RateLadder{0, Rate5G}).Validate(); err == nil {
+	if err := (RateLadder{0, Rate5G, Rate10G, Rate20G, Rate40G}).Validate(); err == nil {
 		t.Error("zero rate accepted")
 	}
-	if err := (RateLadder{Rate5G, Rate5G}).Validate(); err == nil {
+	if err := (RateLadder{Rate2_5G, Rate5G, Rate5G, Rate20G, Rate40G}).Validate(); err == nil {
 		t.Error("duplicate rate accepted")
 	}
 }
@@ -225,24 +222,15 @@ func TestChannelOccupancy(t *testing.T) {
 	if occ.Total != 30*sim.Microsecond {
 		t.Fatalf("total = %v", occ.Total)
 	}
-	if occ.AtRate[Rate40G] != 10*sim.Microsecond {
-		t.Errorf("40G time = %v, want 10us", occ.AtRate[Rate40G])
-	}
-	if occ.AtRate[Rate2_5G] != 10*sim.Microsecond {
-		t.Errorf("2.5G time = %v, want 10us (incl. reactivation)", occ.AtRate[Rate2_5G])
+	want := [NumRates]sim.Time{10 * sim.Microsecond, 0, 0, 0, 10 * sim.Microsecond}
+	if occ.AtRate != want {
+		t.Errorf("time at rate = %v, want 10us at 2.5G (incl. reactivation) and 40G", occ.AtRate)
 	}
 	if occ.Off != 10*sim.Microsecond {
 		t.Errorf("off = %v, want 10us", occ.Off)
 	}
-	if f := occ.Fraction(Rate40G); f < 0.333 || f > 0.334 {
-		t.Errorf("Fraction(40G) = %v", f)
-	}
-	if f := occ.OffFraction(); f < 0.333 || f > 0.334 {
-		t.Errorf("OffFraction = %v", f)
-	}
-	rates := occ.Rates()
-	if len(rates) != 2 || rates[0] != Rate2_5G || rates[1] != Rate40G {
-		t.Errorf("Rates = %v", rates)
+	if occ.Ladder != DefaultLadder() {
+		t.Errorf("occupancy ladder = %v", occ.Ladder)
 	}
 }
 
@@ -361,8 +349,8 @@ func TestChannelResetAccounting(t *testing.T) {
 	if occ.Total != 10*sim.Microsecond {
 		t.Fatalf("post-reset occupancy total = %v, want 10us", occ.Total)
 	}
-	if occ.AtRate[Rate10G] != 10*sim.Microsecond {
-		t.Fatalf("post-reset time at 10G = %v", occ.AtRate[Rate10G])
+	if occ.AtRate[DefaultLadder().Index(Rate10G)] != 10*sim.Microsecond {
+		t.Fatalf("post-reset time at 10G = %v", occ.AtRate)
 	}
 	// MeanUtilization measures only the post-reset window: 10G for 10us,
 	// send 12500 bytes = 100us*... 12500B*8 = 100000 bits over

@@ -22,8 +22,9 @@ type ChannelEnergy struct {
 	// EnergyJ is RelPower x the per-channel full-power share x the
 	// window, in joules.
 	EnergyJ float64
-	// TimeAtRate is the time the channel spent at each rate.
-	TimeAtRate map[link.Rate]sim.Time
+	// TimeAtRate is the time the channel spent at each rung of its
+	// rate ladder.
+	TimeAtRate [link.NumRates]sim.Time
 	// OffTime is the time the channel spent powered off.
 	OffTime sim.Time
 }

@@ -99,11 +99,9 @@ func TestAlwaysOn(t *testing.T) {
 
 func TestOccupancyPower(t *testing.T) {
 	occ := link.Occupancy{
-		AtRate: map[link.Rate]sim.Time{
-			link.Rate40G:  25 * sim.Microsecond,
-			link.Rate2_5G: 75 * sim.Microsecond,
-		},
-		Total: 100 * sim.Microsecond,
+		Ladder: link.DefaultLadder(),
+		AtRate: [link.NumRates]sim.Time{75 * sim.Microsecond, 0, 0, 0, 25 * sim.Microsecond},
+		Total:  100 * sim.Microsecond,
 	}
 	m := InfiniBandOptical()
 	got := OccupancyPower(occ, m)
@@ -119,6 +117,24 @@ func TestOccupancyPower(t *testing.T) {
 	}
 	if OccupancyPower(link.Occupancy{}, m) != 0 {
 		t.Error("empty occupancy should be 0")
+	}
+
+	// Time at every rung plus Off; the wants are the exact float64
+	// results, so summation order is pinned too.
+	all := link.Occupancy{
+		Ladder: link.DefaultLadder(),
+		AtRate: [link.NumRates]sim.Time{10 * sim.Microsecond, 20 * sim.Microsecond,
+			30 * sim.Microsecond, 15 * sim.Microsecond, 5 * sim.Microsecond},
+		Off:   20 * sim.Microsecond,
+		Total: 100 * sim.Microsecond,
+	}
+	for _, c := range []struct {
+		p    Profile
+		want float64
+	}{{m, 0.5035}, {ideal, 0.23125}, {AlwaysOn{}, 1}} {
+		if got := OccupancyPower(all, c.p); got != c.want {
+			t.Errorf("%s OccupancyPower(every rung + off) = %v, want %v", c.p.Name(), got, c.want)
+		}
 	}
 }
 
@@ -268,9 +284,9 @@ func TestProfileOrderingProperty(t *testing.T) {
 	measured := InfiniBandOptical()
 	ideal := NewIdeal(link.Rate40G)
 	f := func(splits [5]uint16) bool {
-		occ := link.Occupancy{AtRate: map[link.Rate]sim.Time{}}
+		occ := link.Occupancy{Ladder: ladder}
 		for i, s := range splits {
-			occ.AtRate[ladder[i]] = sim.Time(s) * sim.Nanosecond
+			occ.AtRate[i] = sim.Time(s) * sim.Nanosecond
 			occ.Total += sim.Time(s) * sim.Nanosecond
 		}
 		pm := OccupancyPower(occ, measured)

@@ -90,23 +90,6 @@ func InfiniBandOptical() *Measured {
 	return m
 }
 
-// InfiniBandCopper is the copper-mode profile: the paper's data shows a
-// switch chip uses ~25% less power driving an electrical link than an
-// optical one; the curve shape is the same after normalization.
-func InfiniBandCopper() *Measured {
-	m, err := NewMeasured("infiniband-copper", []MeasuredPoint{
-		{link.Rate2_5G, 0.42},
-		{link.Rate5G, 0.46},
-		{link.Rate10G, 0.52},
-		{link.Rate20G, 0.69},
-		{link.Rate40G, 1.00},
-	}, 0.36, 0.30)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // Name implements Profile.
 func (m *Measured) Name() string { return m.name }
 
@@ -198,12 +181,9 @@ func OccupancyPower(o link.Occupancy, p Profile) float64 {
 	if o.Total == 0 {
 		return 0
 	}
-	// Sum in ascending rate order: float addition is order-sensitive at
-	// the ULP level, and map iteration order would otherwise leak into
-	// reported power values, breaking byte-for-byte run reproducibility.
 	var acc float64
-	for _, r := range o.Rates() {
-		acc += p.Relative(r) * float64(o.AtRate[r])
+	for i, t := range o.AtRate {
+		acc += p.Relative(o.Ladder[i]) * float64(t)
 	}
 	acc += p.Off() * float64(o.Off)
 	return acc / float64(o.Total)

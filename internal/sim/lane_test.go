@@ -144,7 +144,7 @@ func TestNextAt(t *testing.T) {
 
 // TestLaneIDBounds verifies lane ID validation.
 func TestLaneIDBounds(t *testing.T) {
-	for _, id := range []uint64{0, maxLaneID + 1} {
+	for _, id := range []uint64{0, MaxLaneID + 1} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -155,5 +155,5 @@ func TestLaneIDBounds(t *testing.T) {
 		}()
 	}
 	NewLane(1)
-	NewLane(maxLaneID)
+	NewLane(MaxLaneID)
 }

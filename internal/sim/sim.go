@@ -68,8 +68,10 @@ type ArgEvent func(now Time, arg any, n int64)
 // counter; 2^44 events per lane is out of reach for any realistic run.
 const laneShift = 44
 
-// maxLaneID bounds lane identifiers to the 20 high bits of a key.
-const maxLaneID = 1<<(64-laneShift) - 1
+// MaxLaneID bounds lane identifiers to the 20 high bits of a key. A
+// fabric gives every host and switch its own lane, so it also bounds a
+// topology's hosts + switches.
+const MaxLaneID = 1<<(64-laneShift) - 1
 
 // Lane is an independent source of event-ordering keys. Two events at
 // the same timestamp execute in ascending key order, so events drawn
@@ -85,8 +87,8 @@ type Lane struct {
 // every key from lanes with smaller IDs at the same timestamp; lane 0 is
 // reserved for the engine's internal counter (At/AtArg).
 func NewLane(id uint64) Lane {
-	if id == 0 || id > maxLaneID {
-		panic(fmt.Sprintf("sim: lane ID %d out of range [1, %d]", id, uint64(maxLaneID)))
+	if id == 0 || id > MaxLaneID {
+		panic(fmt.Sprintf("sim: lane ID %d out of range [1, %d]", id, uint64(MaxLaneID)))
 	}
 	return Lane{next: id << laneShift}
 }

@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"epnet/internal/link"
@@ -23,46 +22,40 @@ type Latency struct {
 	sum     sim.Time
 	min     sim.Time
 	max     sim.Time
-	buckets map[int]int64
+	buckets [numBuckets]int64
 }
 
 const bucketsPerOctave = 8
 
+// numBuckets covers the whole sim.Time domain. Index 0 holds zero and
+// negative samples; index i > 0 holds samples d with
+// floor(log2(d)*bucketsPerOctave) == i-1. float64(MaxInt64) rounds to
+// 2^63, so the largest sample lands at index 63*bucketsPerOctave+1.
+const numBuckets = 63*bucketsPerOctave + 2
+
 // NewLatency returns an empty latency accumulator.
 func NewLatency() *Latency {
-	return &Latency{min: math.MaxInt64, buckets: make(map[int]int64)}
+	return &Latency{min: math.MaxInt64}
 }
-
-// underflowBucket holds zero and negative samples. It sorts below every
-// real bucket key, so cumulative walks count those samples before any
-// positive-duration bucket.
-const underflowBucket = math.MinInt32
 
 func bucketOf(d sim.Time) int {
 	if d <= 0 {
-		return underflowBucket
-	}
-	return int(math.Floor(math.Log2(float64(d)) * bucketsPerOctave))
-}
-
-func bucketUpper(b int) sim.Time {
-	if b == underflowBucket {
 		return 0
 	}
-	return sim.Time(math.Exp2(float64(b+1) / bucketsPerOctave))
+	return int(math.Floor(math.Log2(float64(d))*bucketsPerOctave)) + 1
 }
 
-// sortedKeys returns the occupied bucket keys in ascending order (the
-// underflow bucket first). Percentile and Buckets share this walk so
-// both present the histogram in the same deterministic order regardless
-// of map iteration.
-func (l *Latency) sortedKeys() []int {
-	keys := make([]int, 0, len(l.buckets))
-	for k := range l.buckets {
-		keys = append(keys, k)
+// bucketUpper returns bucket i's upper bound, saturating at the top of
+// the sim.Time range.
+func bucketUpper(i int) sim.Time {
+	if i == 0 {
+		return 0
 	}
-	sort.Ints(keys)
-	return keys
+	u := math.Exp2(float64(i) / bucketsPerOctave)
+	if u >= math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return sim.Time(u)
 }
 
 // Add records one sample.
@@ -116,17 +109,10 @@ func (l *Latency) Percentile(p float64) sim.Time {
 	}
 	target := int64(math.Ceil(float64(l.count) * p / 100))
 	var cum int64
-	for _, k := range l.sortedKeys() {
-		cum += l.buckets[k]
+	for i, n := range l.buckets {
+		cum += n
 		if cum >= target {
-			u := bucketUpper(k)
-			if u > l.max {
-				u = l.max
-			}
-			if u < l.min {
-				u = l.min
-			}
-			return u
+			return max(min(bucketUpper(i), l.max), l.min)
 		}
 	}
 	return l.max
@@ -139,17 +125,14 @@ type Bucket struct {
 	Count int64
 }
 
-// Buckets returns the histogram cells in ascending order of bound,
-// suitable for CDF reporting.
+// Buckets returns the non-empty histogram cells in ascending order of
+// bound, suitable for CDF reporting.
 func (l *Latency) Buckets() []Bucket {
-	keys := l.sortedKeys()
-	out := make([]Bucket, 0, len(keys))
-	for _, k := range keys {
-		u := bucketUpper(k)
-		if u > l.max {
-			u = l.max
+	var out []Bucket
+	for i, n := range l.buckets {
+		if n > 0 {
+			out = append(out, Bucket{Upper: min(bucketUpper(i), l.max), Count: n})
 		}
-		out = append(out, Bucket{Upper: u, Count: l.buckets[k]})
 	}
 	return out
 }
@@ -161,45 +144,37 @@ func (l *Latency) Merge(other *Latency) {
 	}
 	l.count += other.count
 	l.sum += other.sum
-	if other.min < l.min {
-		l.min = other.min
-	}
-	if other.max > l.max {
-		l.max = other.max
-	}
-	for k, v := range other.buckets {
-		l.buckets[k] += v
+	l.min = min(l.min, other.min)
+	l.max = max(l.max, other.max)
+	for i, n := range other.buckets {
+		l.buckets[i] += n
 	}
 }
 
-// RateShare aggregates time-at-rate occupancies across many channels:
-// the data behind the paper's Figure 7.
+// RateShare aggregates time-at-rate occupancies across many channels
+// of one ladder: the data behind the paper's Figure 7. At is indexed by
+// rung. The zero value is an empty aggregate.
 type RateShare struct {
-	At    map[link.Rate]sim.Time
+	At    [link.NumRates]sim.Time
 	Off   sim.Time
 	Total sim.Time
 }
 
-// NewRateShare returns an empty aggregate.
-func NewRateShare() *RateShare {
-	return &RateShare{At: make(map[link.Rate]sim.Time)}
-}
-
 // Add folds one channel occupancy into the aggregate.
 func (s *RateShare) Add(o link.Occupancy) {
-	for r, t := range o.AtRate {
-		s.At[r] += t
+	for i, t := range o.AtRate {
+		s.At[i] += t
 	}
 	s.Off += o.Off
 	s.Total += o.Total
 }
 
-// Fraction returns the share of aggregate channel-time at rate r.
-func (s *RateShare) Fraction(r link.Rate) float64 {
+// Fraction returns the share of aggregate channel-time at ladder rung i.
+func (s *RateShare) Fraction(i int) float64 {
 	if s.Total == 0 {
 		return 0
 	}
-	return float64(s.At[r]) / float64(s.Total)
+	return float64(s.At[i]) / float64(s.Total)
 }
 
 // OffFraction returns the share of aggregate channel-time powered off.
@@ -208,16 +183,6 @@ func (s *RateShare) OffFraction() float64 {
 		return 0
 	}
 	return float64(s.Off) / float64(s.Total)
-}
-
-// Rates returns the rates present, ascending.
-func (s *RateShare) Rates() []link.Rate {
-	out := make([]link.Rate, 0, len(s.At))
-	for r := range s.At {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Table is a minimal fixed-width text table for experiment reports.

@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -59,6 +61,39 @@ func TestLatencyZeroSample(t *testing.T) {
 	if got := l.Percentile(25); got != 0 {
 		t.Errorf("p25 = %v, want 0", got)
 	}
+
+	// The histogram spans the whole sim.Time domain: a 1 ps sample
+	// lands in the first positive bucket and math.MaxInt64 (2^63 as a
+	// float64) in the last, whose bound saturates at math.MaxInt64.
+	if got := bucketOf(1); got != 1 {
+		t.Errorf("bucketOf(1ps) = %d, want 1", got)
+	}
+	if got := bucketOf(math.MaxInt64); got != numBuckets-1 {
+		t.Errorf("bucketOf(MaxInt64) = %d, want %d", got, numBuckets-1)
+	}
+	l = NewLatency()
+	l.Add(1)
+	l.Add(sim.Microsecond)
+	l.Add(math.MaxInt64)
+	if l.Min() != 1 || l.Max() != math.MaxInt64 {
+		t.Errorf("Min/Max = %d/%d", int64(l.Min()), int64(l.Max()))
+	}
+	for _, c := range []struct {
+		p    float64
+		want sim.Time
+	}{
+		{0, 1}, {10, 1}, {33, 1},
+		{34, 1048576}, {50, 1048576}, {66, 1048576},
+		{67, math.MaxInt64}, {99, math.MaxInt64}, {100, math.MaxInt64},
+	} {
+		if got := l.Percentile(c.p); got != c.want {
+			t.Errorf("p%v = %d, want %d", c.p, int64(got), int64(c.want))
+		}
+	}
+	want := []Bucket{{1, 1}, {1048576, 1}, {math.MaxInt64, 1}}
+	if got := l.Buckets(); !slices.Equal(got, want) {
+		t.Errorf("Buckets = %v, want %v", got, want)
+	}
 }
 
 // Zero- and negative-duration samples share an underflow bucket that
@@ -101,8 +136,7 @@ func TestLatencyZeroAndNegativeDurations(t *testing.T) {
 	if bs[1].Upper != sim.Microsecond || bs[1].Count != 4 {
 		t.Errorf("top bucket = {%v, %d}, want {1us, 4}", bs[1].Upper, bs[1].Count)
 	}
-	// The walk order comes from sorted keys, not map iteration: repeated
-	// reads are identical.
+	// Repeated reads are identical.
 	for i := 0; i < 10; i++ {
 		again := l.Buckets()
 		for j := range bs {
@@ -138,10 +172,32 @@ func TestLatencyMerge(t *testing.T) {
 	if a.Count() != before {
 		t.Error("empty merge changed count")
 	}
+
+	// Merging across both ends of the histogram: the underflow bucket
+	// and the top bucket, which holds math.MaxInt64.
+	lo, hi := NewLatency(), NewLatency()
+	lo.Add(-5)
+	lo.Add(1)
+	hi.Add(math.MaxInt64)
+	hi.Add(1)
+	lo.Merge(hi)
+	if lo.Count() != 4 || lo.Min() != -5 || lo.Max() != math.MaxInt64 {
+		t.Errorf("edge merge count/min/max = %d/%v/%v", lo.Count(), int64(lo.Min()), int64(lo.Max()))
+	}
+	for _, c := range []struct {
+		p    float64
+		want sim.Time
+	}{{25, 0}, {50, 1}, {75, 1}, {99, math.MaxInt64}} {
+		if got := lo.Percentile(c.p); got != c.want {
+			t.Errorf("edge merge p%v = %d, want %d", c.p, int64(got), int64(c.want))
+		}
+	}
+	wantBuckets := []Bucket{{0, 1}, {1, 2}, {math.MaxInt64, 1}}
+	if got := lo.Buckets(); !slices.Equal(got, wantBuckets) {
+		t.Errorf("edge merge buckets = %v, want %v", got, wantBuckets)
+	}
 }
 
-// Property: mean is always between min and max; percentiles are monotone
-// in p.
 func TestLatencyInvariantProperty(t *testing.T) {
 	f := func(samples []uint32) bool {
 		if len(samples) == 0 {
@@ -170,34 +226,33 @@ func TestLatencyInvariantProperty(t *testing.T) {
 }
 
 func TestRateShare(t *testing.T) {
-	s := NewRateShare()
+	var s RateShare
 	s.Add(link.Occupancy{
-		AtRate: map[link.Rate]sim.Time{link.Rate40G: 10, link.Rate2_5G: 30},
+		AtRate: [link.NumRates]sim.Time{30, 0, 0, 0, 10},
 		Total:  40,
 	})
 	s.Add(link.Occupancy{
-		AtRate: map[link.Rate]sim.Time{link.Rate2_5G: 50},
+		AtRate: [link.NumRates]sim.Time{50},
 		Off:    10,
 		Total:  60,
 	})
 	if s.Total != 100 {
 		t.Fatalf("Total = %v", s.Total)
 	}
-	if got := s.Fraction(link.Rate2_5G); got != 0.8 {
+	if got := s.Fraction(0); got != 0.8 {
 		t.Errorf("Fraction(2.5G) = %v, want 0.8", got)
 	}
-	if got := s.Fraction(link.Rate40G); got != 0.1 {
+	if got := s.Fraction(4); got != 0.1 {
 		t.Errorf("Fraction(40G) = %v, want 0.1", got)
 	}
 	if got := s.OffFraction(); got != 0.1 {
 		t.Errorf("OffFraction = %v, want 0.1", got)
 	}
-	rates := s.Rates()
-	if len(rates) != 2 || rates[0] != link.Rate2_5G || rates[1] != link.Rate40G {
-		t.Errorf("Rates = %v", rates)
+	if want := [link.NumRates]sim.Time{80, 0, 0, 0, 10}; s.At != want {
+		t.Errorf("At = %v, want %v", s.At, want)
 	}
-	empty := NewRateShare()
-	if empty.Fraction(link.Rate40G) != 0 || empty.OffFraction() != 0 {
+	var empty RateShare
+	if empty.Fraction(4) != 0 || empty.OffFraction() != 0 {
 		t.Error("empty share fractions not 0")
 	}
 }

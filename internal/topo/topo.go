@@ -58,6 +58,9 @@ const (
 	Electrical LinkClass = iota
 	// Optical links use optical transceivers and span longer distances.
 	Optical
+
+	// NumLinkClasses is the number of link classes.
+	NumLinkClasses
 )
 
 func (c LinkClass) String() string {

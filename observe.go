@@ -96,7 +96,7 @@ type observer struct {
 func newObserver(cfg Config, e *sim.Engine, net *fabric.Network,
 	ctrl *core.Controller, fr *routing.FBFLY, inj *fault.Injector,
 	prof *telemetry.EngineProfiler, flow *telemetry.FlowCollector,
-	ladder link.RateLadder, horizon sim.Time) (o *observer, err error) {
+	horizon sim.Time) (o *observer, err error) {
 	if cfg.MetricsOut == "" && cfg.TraceOut == "" && cfg.HeatmapOut == "" &&
 		cfg.HistOut == "" && cfg.Inspector == nil {
 		return nil, nil
@@ -176,7 +176,7 @@ func newObserver(cfg Config, e *sim.Engine, net *fabric.Network,
 			chans = append(chans, ch.L)
 		}
 		o.measured = power.NewMeter(power.InfiniBandOptical(), chans)
-		o.ideal = power.NewMeter(power.NewIdeal(ladder.Max()), chans)
+		o.ideal = power.NewMeter(power.NewIdeal(net.Cfg.Ladder.Max()), chans)
 		for _, m := range []*power.Meter{o.measured, o.ideal} {
 			if err := m.RegisterMetrics(reg, e.Now); err != nil {
 				return nil, err

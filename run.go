@@ -97,7 +97,7 @@ func chanLabels(net *fabric.Network) []string {
 // buildInjector constructs and wires the fault injector when cfg or the
 // run plan asks for any kind of fault, or returns nil.
 func buildInjector(cfg Config, plan *runPlan, net *fabric.Network, router routing.Router,
-	fbflyRouter *routing.FBFLY, ladder link.RateLadder) (*fault.Injector, error) {
+	fbflyRouter *routing.FBFLY) (*fault.Injector, error) {
 	if cfg.Faults == "" && cfg.FaultRate <= 0 && cfg.FailLinks <= 0 && !plan.hasChaos {
 		return nil, nil
 	}
@@ -120,7 +120,7 @@ func buildInjector(cfg Config, plan *runPlan, net *fabric.Network, router routin
 		// No controller will climb the ladder; a restored link retunes
 		// straight back to line rate. (A scenario that switches policy
 		// forces the controller on, which climbs by itself.)
-		inj.RestoreRate = ladder.Max()
+		inj.RestoreRate = net.Cfg.Ladder.Max()
 	}
 	if fbflyRouter != nil {
 		// Random faults must not partition the network: both endpoints
@@ -279,14 +279,14 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 		// Links stay at the ladder maximum; nothing to do.
 	case cfg.Policy == PolicyStaticMin && !plan.policySwitch:
 		for _, ch := range net.Channels() {
-			ch.L.SetRate(0, fcfg.Ladder.Min(), 0)
+			ch.L.SetRate(0, net.Cfg.Ladder.Min(), 0)
 		}
 	default:
 		if cfg.Policy == PolicyStaticMin {
 			// Start at the floor immediately; the controller holds it
 			// there until a phase switches policy.
 			for _, ch := range net.Channels() {
-				ch.L.SetRate(0, fcfg.Ladder.Min(), 0)
+				ch.L.SetRate(0, net.Cfg.Ladder.Min(), 0)
 			}
 		}
 		ctrl = &core.Controller{
@@ -296,7 +296,7 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 			Paired:       !cfg.Independent,
 		}
 		ctrl.ModeAware = cfg.ModeAwareReactivation
-		ctrl.Policy = resolveCorePolicy(cfg.Policy, cfg.TargetUtil, fcfg.Ladder)
+		ctrl.Policy = resolveCorePolicy(cfg.Policy, cfg.TargetUtil, net)
 		if err := ctrl.Start(); err != nil {
 			return Result{}, err
 		}
@@ -317,7 +317,7 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	// Fault injection: one injector executes the explicit schedule, the
 	// seeded-random process, the legacy abrupt-failure batch, and the
 	// scenario's chaos campaigns.
-	inj, err := buildInjector(cfg, plan, net, router, fbflyRouter, fcfg.Ladder)
+	inj, err := buildInjector(cfg, plan, net, router, fbflyRouter)
 	if err != nil {
 		return Result{}, err
 	}
@@ -342,7 +342,7 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	// Optional telemetry: the controller's epoch tick is already
 	// scheduled, so on coincident timestamps the sampler observes
 	// post-retune link state (the engine breaks ties FIFO).
-	obs, err := newObserver(cfg, e, net, ctrl, fbflyRouter, inj, eprof, flow, fcfg.Ladder, horizon)
+	obs, err := newObserver(cfg, e, net, ctrl, fbflyRouter, inj, eprof, flow, horizon)
 	if err != nil {
 		return Result{}, err
 	}
@@ -370,7 +370,7 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	// obs.finish so files the observer opened are flushed and closed,
 	// and any latched telemetry write error surfaces (finish is
 	// idempotent and nil-safe).
-	plan.start(e, net, ctrl, fcfg.Ladder)
+	plan.start(e, net, ctrl)
 
 	if inj != nil {
 		if err := scheduleFaults(cfg, e, inj, warmup, horizon); err != nil {
@@ -386,7 +386,7 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if cfg.PowerSampleEvery > 0 {
 		interval := simTime(cfg.PowerSampleEvery)
 		measured := power.InfiniBandOptical()
-		idealP := power.NewIdeal(fcfg.Ladder.Max())
+		idealP := power.NewIdeal(net.Cfg.Ladder.Max())
 		var lastBytes int64
 		var sample func(now sim.Time)
 		sample = func(now sim.Time) {
@@ -406,7 +406,7 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 				bytes += ch.L.TotalBytes()
 			}
 			n := float64(len(net.Channels()))
-			capacity := float64(fcfg.Ladder.Max()) / 8 * interval.Seconds() * n
+			capacity := float64(net.Cfg.Ladder.Max()) / 8 * interval.Seconds() * n
 			util := 0.0
 			if capacity > 0 {
 				util = float64(bytes-lastBytes) / capacity
@@ -480,10 +480,9 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	res.MsgP99Latency = toDuration(msgLat.Percentile(99))
 	res.Messages = msgLat.Count()
 
-	share := stats.NewRateShare()
+	var share stats.RateShare
 	measured := power.InfiniBandOptical()
-	copper := power.InfiniBandCopper()
-	ideal := power.NewIdeal(fcfg.Ladder.Max())
+	ideal := power.NewIdeal(net.Cfg.Ladder.Max())
 	parts := power.DefaultPartPower()
 	fullWatts := float64(t.NumSwitches())*parts.SwitchChipWatts +
 		float64(t.NumHosts())*parts.NICWatts
@@ -507,13 +506,13 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	}
 
 	var pm, pi, util float64
-	classAcc := map[string]float64{}
-	classCnt := map[string]float64{}
+	var classAcc, classCnt [topo.NumLinkClasses]float64
 	now := e.Now()
 	for ci, ch := range net.Channels() {
 		occ := ch.L.Occupancy(now)
 		share.Add(occ)
-		pm += power.OccupancyPower(occ, measured)
+		chPower := power.OccupancyPower(occ, measured)
+		pm += chPower
 		pi += power.OccupancyPower(occ, ideal)
 		chUtil := ch.L.MeanUtilization(now)
 		util += chUtil
@@ -524,12 +523,8 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 		if ch.Src.Kind == topo.KindSwitch {
 			class = t.LinkClass(ch.Src.ID, ch.Src.Port)
 		}
-		prof := power.Profile(measured)
-		if class == topo.Electrical {
-			prof = copper
-		}
-		classAcc[class.String()] += power.OccupancyPower(occ, prof)
-		classCnt[class.String()]++
+		classAcc[class] += chPower
+		classCnt[class]++
 
 		if attr != nil {
 			ce := attr.Add(ch.Label(), class.String(), occ, chUtil)
@@ -546,14 +541,16 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 				Utilization:  ce.Utilization,
 				RelPower:     ce.RelPower,
 				EnergyJoules: ce.EnergyJ,
-				TimeAtRate:   make(RateShareMap, len(ce.TimeAtRate)),
+				TimeAtRate:   RateShareMap{},
 				OffSeconds:   ce.OffTime.Seconds(),
 				Bytes:        ch.L.TotalBytes(),
 				Packets:      ch.L.TotalPackets(),
 				Drops:        ch.Drops(),
 			}
-			for r, tt := range ce.TimeAtRate {
-				la.TimeAtRate[r.GbpsF()] = tt.Seconds()
+			for i, tt := range ce.TimeAtRate {
+				if tt > 0 {
+					la.TimeAtRate[net.Cfg.Ladder[i].GbpsF()] = tt.Seconds()
+				}
 			}
 			res.Attribution = append(res.Attribution, la)
 		}
@@ -562,9 +559,11 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	res.RelPowerMeasured = pm / nch
 	res.RelPowerIdeal = pi / nch
 	res.AvgUtil = util / nch
-	res.ClassPower = make(map[string]float64, len(classAcc))
-	for class, acc := range classAcc {
-		res.ClassPower[class] = acc / classCnt[class]
+	res.ClassPower = map[string]float64{}
+	for class, n := range classCnt {
+		if n > 0 {
+			res.ClassPower[topo.LinkClass(class).String()] = classAcc[class] / n
+		}
 	}
 
 	// Directional asymmetry across link pairs (byte-weighted).
@@ -597,9 +596,11 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 			Count: b.Count,
 		})
 	}
-	res.RateShare = make(map[float64]float64)
-	for _, r := range share.Rates() {
-		res.RateShare[r.GbpsF()] = share.Fraction(r)
+	res.RateShare = RateShareMap{}
+	for i, t := range share.At {
+		if t > 0 {
+			res.RateShare[net.Cfg.Ladder[i].GbpsF()] = share.Fraction(i)
+		}
 	}
 	res.OffShare = share.OffFraction()
 	if ctrl != nil {
@@ -623,7 +624,7 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	res.PeakQueueBytes = net.PeakQueueBytes()
 	res.PowerTrace = trace
 	if acct != nil {
-		res.PhaseScores = acct.scores(warmup, t.NumHosts(), fcfg.Ladder)
+		res.PhaseScores = acct.scores(warmup, t.NumHosts())
 	}
 	if flow != nil {
 		res.FlowTrace = newFlowTraceReport(flow.Snapshot(), chanLabels(net),

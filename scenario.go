@@ -12,7 +12,6 @@ import (
 	"epnet/internal/core"
 	"epnet/internal/fabric"
 	"epnet/internal/fault"
-	"epnet/internal/link"
 	"epnet/internal/scenario"
 	"epnet/internal/sim"
 	"epnet/internal/stats"
@@ -300,7 +299,7 @@ func implicitSource(cfg Config) (scenario.Source, error) {
 // exact call site the single-workload path used) and schedules each
 // later phase's traffic and policy switch at its boundary — control
 // events, so sharded runs stay byte-identical across shard counts.
-func (p *runPlan) start(e *sim.Engine, net *fabric.Network, ctrl *core.Controller, ladder link.RateLadder) {
+func (p *runPlan) start(e *sim.Engine, net *fabric.Network, ctrl *core.Controller) {
 	for _, src := range p.phases[0].sources {
 		src.Run(e, net, 0, p.phases[0].end)
 	}
@@ -308,7 +307,7 @@ func (p *runPlan) start(e *sim.Engine, net *fabric.Network, ctrl *core.Controlle
 		ph := p.phases[i]
 		e.At(ph.start, func(now sim.Time) {
 			if ph.policy != nil && ctrl != nil {
-				ctrl.Policy = resolveCorePolicy(PolicyKind(ph.policy.Kind), ph.policy.TargetUtil, ladder)
+				ctrl.Policy = resolveCorePolicy(PolicyKind(ph.policy.Kind), ph.policy.TargetUtil, net)
 			}
 			for _, src := range ph.sources {
 				src.Run(e, net, now, ph.end)
@@ -319,16 +318,17 @@ func (p *runPlan) start(e *sim.Engine, net *fabric.Network, ctrl *core.Controlle
 
 // resolveCorePolicy maps a policy kind to its core implementation. The
 // always-on baseline and static-min become Static pins so a scenario
-// can switch into and out of them mid-run under a live controller.
-func resolveCorePolicy(kind PolicyKind, target float64, ladder link.RateLadder) core.Policy {
+// can switch into and out of them mid-run under a live controller,
+// pinned to the ends of net's rate ladder.
+func resolveCorePolicy(kind PolicyKind, target float64, net *fabric.Network) core.Policy {
 	if target == 0 {
 		target = 0.5
 	}
 	switch kind {
 	case PolicyBaseline:
-		return core.Static{Rate: ladder.Max()}
+		return core.Static{Rate: net.Cfg.Ladder.Max()}
 	case PolicyStaticMin:
-		return core.Static{Rate: ladder.Min()}
+		return core.Static{Rate: net.Cfg.Ladder.Min()}
 	case PolicyMinMax:
 		return core.MinMax{Target: target}
 	case PolicyHysteresis:
@@ -528,7 +528,7 @@ func (a *phaseAccounting) snapshot() phaseSnap {
 }
 
 // scores folds the snapshots and recorders into the Result scorecard.
-func (a *phaseAccounting) scores(warmup sim.Time, hosts int, ladder link.RateLadder) []PhaseScore {
+func (a *phaseAccounting) scores(warmup sim.Time, hosts int) []PhaseScore {
 	out := make([]PhaseScore, len(a.plan.phases))
 	for i := range a.plan.phases {
 		ph := &a.plan.phases[i]
@@ -559,7 +559,7 @@ func (a *phaseAccounting) scores(warmup sim.Time, hosts int, ladder link.RateLad
 			sc.DeliveredFraction = float64(sc.DeliveredPackets) /
 				float64(sc.DeliveredPackets+sc.DroppedPackets)
 		}
-		if capBytes := float64(hosts) * float64(ladder.Max()) / 8 * toDuration(ph.end-start).Seconds(); capBytes > 0 {
+		if capBytes := float64(hosts) * float64(a.net.Cfg.Ladder.Max()) / 8 * toDuration(ph.end-start).Seconds(); capBytes > 0 {
 			sc.AvgUtil = float64(sc.DeliveredBytes) / capBytes
 		}
 		out[i] = sc
