@@ -98,17 +98,28 @@ smoke-scale:
 	timeout 60 $(GO) run ./cmd/epsim -topology fbfly -k 8 -n 5 -c 8 \
 		-workload uniform -load 0.05 -warmup 20us -duration 100us -shards 0
 
-# Short run with the full observability stack on: labeled metrics CSV,
-# utilization heatmap + histogram, per-link attribution, and one live
-# scrape of the inspection endpoint. Files land in /tmp/epnet-observe.
+# The full observability stack gating the determinism contract: the
+# same search run at -shards 1 and -shards 4 writes every file output
+# in every format (metrics .csv and .jsonl, heatmap, histogram, flow
+# report .json and .csv), and each pair must match byte for byte. The
+# profile (wall-clock values) and the Chrome trace (serial engine only)
+# are exempt. The first run also prints the per-link attribution and
+# serves the inspection endpoint. Files land in /tmp/epnet-observe.
+OBSERVE_DIR = /tmp/epnet-observe
+OBSERVE_RUN = $(OBSERVE_DIR)/epsim -workload search -duration 1ms -warmup 200us
 observe-demo:
-	mkdir -p /tmp/epnet-observe
-	$(GO) run ./cmd/epsim -workload search -duration 1ms -warmup 200us \
-		-metrics-out /tmp/epnet-observe/metrics.csv \
-		-heatmap-out /tmp/epnet-observe/heatmap.csv \
-		-hist-out /tmp/epnet-observe/hist.csv \
-		-attribution -listen 127.0.0.1:0
-	@ls -l /tmp/epnet-observe
+	mkdir -p $(OBSERVE_DIR)/s1 $(OBSERVE_DIR)/s4
+	$(GO) build -o $(OBSERVE_DIR)/epsim ./cmd/epsim
+	$(OBSERVE_RUN) -shards 1 -attribution -listen 127.0.0.1:0
+	@set -e; for s in 1 4; do d=$(OBSERVE_DIR)/s$$s; \
+		$(OBSERVE_RUN) -shards $$s -metrics-out $$d/metrics.csv \
+			-heatmap-out $$d/heatmap.csv -hist-out $$d/hist.csv \
+			-flows-out $$d/flows.json > /dev/null; \
+		$(OBSERVE_RUN) -shards $$s -metrics-out $$d/metrics.jsonl \
+			-flows-out $$d/flows.csv > /dev/null; done
+	@set -e; for f in metrics.csv metrics.jsonl heatmap.csv hist.csv flows.json flows.csv; do \
+		cmp $(OBSERVE_DIR)/s1/$$f $(OBSERVE_DIR)/s4/$$f; done
+	@ls -l $(OBSERVE_DIR)/s1 $(OBSERVE_DIR)/s4
 
 # Engine self-profiling end to end: a sharded run with the partition
 # line (-v), the critical-path report (-profile), and the JSON export

@@ -15,9 +15,12 @@
 //
 //	go test -bench . -benchmem ./... | benchjson -compare BENCH_seed.json
 //
-// Each benchmark present in both runs is reported with its ns/op delta;
-// regressions beyond -threshold (default 10%) are flagged. Benchmarks
-// with /shards=N sub-results additionally get a shard-scaling section:
+// Each result records the GOMAXPROCS it ran with (procs, from the name's
+// -N suffix). When the baseline's differs from the run's, the report
+// says so first. Each benchmark present in both runs is reported with
+// its ns/op delta; regressions beyond -threshold (default 10%) are
+// flagged. Benchmarks with /shards=N sub-results additionally get a
+// shard-scaling section:
 // speedup@N = MB/s(N) / MB/s(1) and efficiency = speedup@N / N, with
 // low efficiency flagged only when the recording machine actually had N
 // cores to offer. Benchmarks that report engine self-profile metrics
@@ -55,6 +58,9 @@ type Result struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BPerHost    float64 `json:"b_per_host,omitempty"`
 	NsPerHost   float64 `json:"ns_per_host,omitempty"`
+	// Procs is the GOMAXPROCS the benchmark ran with; 0 (a baseline
+	// recorded before the field existed) means unknown.
+	Procs int `json:"procs,omitempty"`
 }
 
 // parseLine extracts a Result from one `go test -bench` output line, or
@@ -69,6 +75,7 @@ func parseLine(line string) (Result, bool) {
 		return Result{}, false
 	}
 	res := Result{Name: fields[0], Iterations: iters}
+	_, res.Procs = splitProcs(res.Name)
 	// Remaining fields come in "<value> <unit>" pairs.
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
@@ -138,6 +145,13 @@ func readBaseline(path string) (map[string]Result, error) {
 // flagging regressions beyond threshold (a fraction: 0.10 = 10%) and
 // any allocs/op growth. It returns the number of flagged regressions.
 func compare(w io.Writer, current []Result, base map[string]Result, threshold float64) int {
+	var baseRuns []Result
+	for _, res := range base {
+		baseRuns = append(baseRuns, res)
+	}
+	if b, c := runProcs(baseRuns), runProcs(current); b != c {
+		fmt.Fprintf(w, "CPU counts differ: baseline GOMAXPROCS %s, this run %s\n", b, c)
+	}
 	base = byBaseName(base)
 	regressions := 0
 	seen := make(map[string]bool, len(current))
@@ -180,21 +194,38 @@ func compare(w io.Writer, current []Result, base map[string]Result, threshold fl
 	return regressions
 }
 
-// baseName strips the -GOMAXPROCS suffix go test appends to benchmark
-// names on multi-core machines ("BenchmarkX/shards=4-8" ->
-// "BenchmarkX/shards=4"), so a baseline recorded with one CPU count
-// matches a run with another.
-func baseName(name string) string {
+// splitProcs splits off the -GOMAXPROCS suffix go test appends to
+// benchmark names on multi-core machines ("BenchmarkX/shards=4-8" ->
+// "BenchmarkX/shards=4", 8). A name without one ran with GOMAXPROCS 1.
+func splitProcs(name string) (string, int) {
 	i := strings.LastIndexByte(name, '-')
-	if i < 0 || i == len(name)-1 {
-		return name
+	suffix := name[i+1:]
+	if i < 0 || suffix == "" || strings.Trim(suffix, "0123456789") != "" {
+		return name, 1
 	}
-	for _, r := range name[i+1:] {
-		if r < '0' || r > '9' {
-			return name
+	n, _ := strconv.Atoi(suffix)
+	return name[:i], n
+}
+
+// baseName strips name's -GOMAXPROCS suffix, so a baseline recorded
+// with one CPU count matches a run with another.
+func baseName(name string) string {
+	base, _ := splitProcs(name)
+	return base
+}
+
+// runProcs names the GOMAXPROCS every result of a run shares, or
+// "unknown" (results recorded before procs was, or a mix).
+func runProcs(results []Result) string {
+	if len(results) == 0 {
+		return "unknown"
+	}
+	for _, res := range results {
+		if res.Procs == 0 || res.Procs != results[0].Procs {
+			return "unknown"
 		}
 	}
-	return name[:i]
+	return strconv.Itoa(results[0].Procs)
 }
 
 // byBaseName re-keys a baseline by baseName.

@@ -21,6 +21,9 @@ func TestParseLine(t *testing.T) {
 	if res.BytesPerOp != 0 || res.AllocsPerOp != 0 {
 		t.Errorf("B/op=%d allocs/op=%d", res.BytesPerOp, res.AllocsPerOp)
 	}
+	if res.Procs != 8 {
+		t.Errorf("procs = %d, want 8 from the -8 suffix", res.Procs)
+	}
 
 	for _, line := range []string{
 		"goos: linux",
@@ -37,7 +40,7 @@ func TestParseLine(t *testing.T) {
 
 	// A minimal line without -benchmem extras still parses.
 	res, ok = parseLine("BenchmarkEngine 1000000 52.1 ns/op")
-	if !ok || res.NsPerOp != 52.1 || res.Iterations != 1000000 {
+	if !ok || res.NsPerOp != 52.1 || res.Iterations != 1000000 || res.Procs != 1 {
 		t.Errorf("minimal line: ok=%v res=%+v", ok, res)
 	}
 
@@ -271,6 +274,31 @@ func TestCompareAcrossCPUCounts(t *testing.T) {
 	for _, want := range []string{"REGRESSION", "BARRIER +30.0pp", "MEMORY +100%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestCompareNamesCPUCounts: the report opens with one line naming both
+// CPU counts when the baseline's differs from the run's (a baseline
+// without procs reads as unknown), and says nothing when they match.
+func TestCompareNamesCPUCounts(t *testing.T) {
+	for _, tc := range []struct {
+		base, cur int
+		want      string
+	}{
+		{1, 8, "CPU counts differ: baseline GOMAXPROCS 1, this run 8\n"},
+		{0, 2, "CPU counts differ: baseline GOMAXPROCS unknown, this run 2\n"},
+		{4, 4, ""},
+		{0, 0, ""},
+	} {
+		base := map[string]Result{"BenchmarkA": {Name: "BenchmarkA", NsPerOp: 100, Procs: tc.base}}
+		current := []Result{{Name: "BenchmarkA", NsPerOp: 100, Procs: tc.cur}}
+		var sb strings.Builder
+		compare(&sb, current, base, 0.10)
+		out := sb.String()
+		if got := strings.Count(out, "CPU counts differ"); got != strings.Count(tc.want, "CPU counts differ") ||
+			!strings.HasPrefix(out, tc.want) {
+			t.Errorf("base %d, run %d: report starts\n%s\nwant first line %q", tc.base, tc.cur, out, tc.want)
 		}
 	}
 }

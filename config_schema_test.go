@@ -183,3 +183,60 @@ func TestScenarioDocsListConfigKeys(t *testing.T) {
 		}
 	}
 }
+
+// outputField returns the Config field that output path p (one of
+// c.OutputPaths()) addresses.
+func outputField(t *testing.T, c *Config, p *string) reflect.StructField {
+	t.Helper()
+	v := reflect.ValueOf(c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).Addr().Interface() == any(p) {
+			return v.Type().Field(i)
+		}
+	}
+	t.Fatalf("output path %p is not a Config field", p)
+	return reflect.StructField{}
+}
+
+// TestObservabilityDocsListOutputs: the outputs table of
+// docs/observability.md has a row for every entry of the outputs table,
+// naming its flag, Config field, formats and endpoint.
+func TestObservabilityDocsListOutputs(t *testing.T) {
+	data, err := os.ReadFile("docs/observability.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(data), "## Flags, endpoints, outputs\n")
+	section, _, _ = strings.Cut(section, "\n## ")
+	rows := map[string]string{}
+	for _, line := range strings.Split(section, "\n") {
+		if cells := strings.Split(line, " | "); strings.HasPrefix(line, "| ") && len(cells) == 5 {
+			rows[strings.TrimPrefix(cells[0], "| ")] = line
+		}
+	}
+	var probe Config
+	for _, out := range outputs {
+		row, ok := rows[out.name]
+		if !ok {
+			t.Errorf("docs/observability.md has no row for output %q", out.name)
+			continue
+		}
+		var want []string
+		if out.path != nil {
+			f := outputField(t, &probe, out.path(&probe))
+			flag, _, _ := strings.Cut(f.Tag.Get("flag"), ",")
+			want = append(want, "`-"+flag+" f`", "`Config."+f.Name+"`")
+		}
+		for _, format := range out.formats {
+			want = append(want, "`."+format+"`")
+		}
+		if out.endpoint != "" {
+			want = append(want, "`"+out.endpoint+"`")
+		}
+		for _, w := range want {
+			if !strings.Contains(row, w) {
+				t.Errorf("docs/observability.md row for %q does not name %s:\n%s", out.name, w, row)
+			}
+		}
+	}
+}

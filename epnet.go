@@ -333,12 +333,18 @@ type Config struct {
 	Scenario *Scenario `json:"scenario,omitempty"`
 }
 
-// OutputPaths returns pointers to the Config's output file fields:
-// metrics, Chrome trace, heatmap, histogram, profile and flow report.
-// It is the one list of them — grid runners number each per run (see
-// TelemetryOpts) and the commands document them.
+// OutputPaths returns pointers to the Config's output file fields, in
+// the order of the outputs table that declares them: metrics, Chrome
+// trace, heatmap, histogram, profile and flow report. Grid runners
+// number each per run (see TelemetryOpts).
 func (c *Config) OutputPaths() []*string {
-	return []*string{&c.MetricsOut, &c.TraceOut, &c.HeatmapOut, &c.HistOut, &c.ProfileOut, &c.FlowsOut}
+	var paths []*string
+	for i := range outputs {
+		if outputs[i].path != nil {
+			paths = append(paths, outputs[i].path(c))
+		}
+	}
+	return paths
 }
 
 // DefaultConfig returns a fast-running configuration faithful to the
@@ -527,9 +533,10 @@ func (c *Config) Validate() error {
 	if c.SampleInterval < 0 {
 		return fieldErr("SampleInterval", "must be >= 0, got %v", c.SampleInterval)
 	}
-	if (c.MetricsOut != "" || c.HeatmapOut != "" || c.HistOut != "" || c.Inspector != nil) &&
-		c.SampleInterval == 0 {
-		c.SampleInterval = c.Epoch
+	for i := range outputs {
+		if c.SampleInterval == 0 && outputs[i].ticks() && outputs[i].active(c) {
+			c.SampleInterval = c.Epoch
+		}
 	}
 	if c.Duration <= 0 {
 		return fieldErr("Duration", "must be positive, got %v", c.Duration)

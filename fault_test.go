@@ -128,9 +128,6 @@ func TestRunContextCanceled(t *testing.T) {
 	if _, err := RunGridContext(ctx, []Config{fastCfg()}, 2); !errors.Is(err, context.Canceled) {
 		t.Errorf("grid err = %v, want context.Canceled", err)
 	}
-	if _, _, _, err := RunBaselinePairContext(ctx, fastCfg()); !errors.Is(err, context.Canceled) {
-		t.Errorf("pair err = %v, want context.Canceled", err)
-	}
 }
 
 // TestRunContextBackgroundMatchesRun: the context-free wrapper and an

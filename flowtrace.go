@@ -2,7 +2,6 @@ package epnet
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -447,24 +446,4 @@ func (r *FlowTraceReport) WriteCSV(w io.Writer) error {
 		fmt.Fprintf(bw, ",%.4f\n", c.EnergyPJPerBit)
 	}
 	return bw.Flush()
-}
-
-// writeJSON streams the report as indented JSON.
-func (r *FlowTraceReport) writeJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// writeFlowsOut writes the report to path: CSV when the path ends in
-// ".csv", JSON otherwise.
-func writeFlowsOut(path string, r *FlowTraceReport) error {
-	write := r.writeJSON
-	if strings.HasSuffix(path, ".csv") {
-		write = r.WriteCSV
-	}
-	if err := writeFile(path, write); err != nil {
-		return fmt.Errorf("epnet: writing flow trace: %w", err)
-	}
-	return nil
 }

@@ -191,7 +191,9 @@ func TestFlowTraceValidate(t *testing.T) {
 }
 
 // TestFlowTraceOutputs pins the -flows-out writers: CSV gets the stable
-// per-phase header, JSON round-trips into the public report type.
+// per-phase header, and Run's flow file is the collected report itself
+// (indented JSON byte-equal to encoding Result.FlowTrace, energy join
+// included, or its CSV), whose JSON round-trips into the public type.
 func TestFlowTraceOutputs(t *testing.T) {
 	ft := chaosFlowRun(t).FlowTrace
 
@@ -215,21 +217,43 @@ func TestFlowTraceOutputs(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	path := filepath.Join(dir, "flows.json")
-	if err := writeFlowsOut(path, ft); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back FlowTraceReport
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("flows JSON does not round-trip: %v", err)
-	}
-	if back.Started != ft.Started || len(back.Classes) != len(ft.Classes) {
-		t.Errorf("round-trip lost data: started %d/%d, classes %d/%d",
-			back.Started, ft.Started, len(back.Classes), len(ft.Classes))
+	for _, name := range []string{"flows.json", "flows.csv"} {
+		cfg := fastCfg()
+		cfg.FlowsOut = filepath.Join(dir, name)
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if strings.HasSuffix(name, ".csv") {
+			err = res.FlowTrace.WriteCSV(&want)
+		} else {
+			enc := json.NewEncoder(&want)
+			enc.SetIndent("", "  ")
+			err = enc.Encode(res.FlowTrace)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(cfg.FlowsOut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, want.Bytes()) {
+			t.Errorf("%s differs from the collected Result.FlowTrace", name)
+		}
+		if strings.HasSuffix(name, ".csv") {
+			continue
+		}
+		var back FlowTraceReport
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatalf("flows JSON does not round-trip: %v", err)
+		}
+		ft := res.FlowTrace
+		if back.Started != ft.Started || len(back.Classes) != len(ft.Classes) {
+			t.Errorf("round-trip lost data: started %d/%d, classes %d/%d",
+				back.Started, ft.Started, len(back.Classes), len(ft.Classes))
+		}
 	}
 }
 

@@ -15,9 +15,9 @@ import (
 // at /snapshot, the live engine self-profile at /profile (when
 // Config.Profile is on), the live flow-trace decomposition at /flows
 // (when Config.FlowTrace is on), and net/http/pprof under
-// /debug/pprof/.
+// /debug/pprof/. The outputs table declares the documents.
 //
-// The engine thread renders both documents to bytes at every sampler
+// The engine thread renders the documents to bytes at every sampler
 // tick and publishes them with one atomic pointer swap; HTTP handlers
 // only ever read the latest published bytes. That keeps the
 // single-threaded simulation and the concurrent HTTP server decoupled:
@@ -25,20 +25,11 @@ import (
 // single Inspector may be shared by every run of a grid — each publish
 // is an internally consistent view of whichever run sampled last.
 type Inspector struct {
-	cur atomic.Pointer[inspection]
+	docs atomic.Pointer[map[string][]byte] // by endpoint
 
 	// srv and ln are set by StartInspector only, for Shutdown.
 	srv *http.Server
 	ln  net.Listener
-}
-
-// inspection is one published document set; prof is nil when the
-// publishing run has profiling off, flows when flow tracing is off.
-type inspection struct {
-	prom  []byte
-	snap  []byte
-	prof  []byte
-	flows []byte
 }
 
 // NewInspector returns an Inspector with nothing published yet. Hand
@@ -50,48 +41,22 @@ func NewInspector() *Inspector {
 
 // publish atomically replaces the served documents. Called on the
 // engine thread at every sample.
-func (i *Inspector) publish(prom, snap, prof, flows []byte) {
-	i.cur.Store(&inspection{prom: prom, snap: snap, prof: prof, flows: flows})
+func (i *Inspector) publish(docs map[string][]byte) {
+	i.docs.Store(&docs)
 }
 
-// PrometheusText returns the latest published scrape body, or nil if
-// no run has sampled yet.
-func (i *Inspector) PrometheusText() []byte {
-	if p := i.cur.Load(); p != nil {
-		return p.prom
+// Document returns the latest published document served at endpoint
+// ("/metrics", "/snapshot", "/profile" or "/flows"), or nil if no run
+// has sampled yet or the sampling run has that report off.
+func (i *Inspector) Document(endpoint string) []byte {
+	if p := i.docs.Load(); p != nil {
+		return (*p)[endpoint]
 	}
 	return nil
 }
 
-// SnapshotJSON returns the latest published per-entity snapshot, or
-// nil if no run has sampled yet.
-func (i *Inspector) SnapshotJSON() []byte {
-	if p := i.cur.Load(); p != nil {
-		return p.snap
-	}
-	return nil
-}
-
-// ProfileJSON returns the latest published engine self-profile, or nil
-// if no run has sampled yet or the sampling run has profiling off.
-func (i *Inspector) ProfileJSON() []byte {
-	if p := i.cur.Load(); p != nil {
-		return p.prof
-	}
-	return nil
-}
-
-// FlowsJSON returns the latest published flow-trace report, or nil if
-// no run has sampled yet or the sampling run has flow tracing off.
-func (i *Inspector) FlowsJSON() []byte {
-	if p := i.cur.Load(); p != nil {
-		return p.flows
-	}
-	return nil
-}
-
-// Handler returns the inspection mux: /, /metrics, /snapshot, and
-// /debug/pprof/.
+// Handler returns the inspection mux: an index at /, one handler per
+// document endpoint, and /debug/pprof/.
 func (i *Inspector) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
@@ -100,51 +65,28 @@ func (i *Inspector) Handler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, "epnet inspector\n\n"+
-			"/metrics        Prometheus text-format scrape\n"+
-			"/snapshot       JSON per-entity state (links, switches, outages, power)\n"+
-			"/profile        JSON engine self-profile (requires Config.Profile)\n"+
-			"/flows          JSON flow-trace decomposition (requires Config.FlowTrace)\n"+
-			"/debug/pprof/   Go runtime profiles\n")
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		body := i.PrometheusText()
-		if body == nil {
-			http.Error(w, "no sample published yet", http.StatusServiceUnavailable)
-			return
+		fmt.Fprint(w, "epnet inspector\n\n")
+		for _, out := range outputs {
+			if out.endpoint != "" {
+				fmt.Fprintf(w, "%-16s%s\n", out.endpoint, out.about)
+			}
 		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.Write(body)
+		fmt.Fprint(w, "/debug/pprof/   Go runtime profiles\n")
 	})
-	mux.HandleFunc("/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		body := i.SnapshotJSON()
-		if body == nil {
-			http.Error(w, "no sample published yet", http.StatusServiceUnavailable)
-			return
+	for _, out := range outputs {
+		if out.endpoint == "" {
+			continue
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
-	})
-	mux.HandleFunc("/profile", func(w http.ResponseWriter, r *http.Request) {
-		body := i.ProfileJSON()
-		if body == nil {
-			http.Error(w, "no profile published (enable Config.Profile / epsim -profile)",
-				http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
-	})
-	mux.HandleFunc("/flows", func(w http.ResponseWriter, r *http.Request) {
-		body := i.FlowsJSON()
-		if body == nil {
-			http.Error(w, "no flow trace published (enable Config.FlowTrace / epsim -flow-trace)",
-				http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
-	})
+		mux.HandleFunc(out.endpoint, func(w http.ResponseWriter, r *http.Request) {
+			body := i.Document(out.endpoint)
+			if body == nil {
+				http.Error(w, out.idle, http.StatusServiceUnavailable)
+				return
+			}
+			w.Header().Set("Content-Type", out.ctype)
+			w.Write(body)
+		})
+	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -2,7 +2,9 @@ package epnet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net/http"
@@ -295,7 +297,7 @@ func TestInspectorPublishDeterministic(t *testing.T) {
 		if _, err := Run(cfg); err != nil {
 			t.Fatal(err)
 		}
-		return insp.PrometheusText(), insp.SnapshotJSON()
+		return insp.Document("/metrics"), insp.Document("/snapshot")
 	}
 	prom1, snap1 := final()
 	prom2, snap2 := final()
@@ -415,26 +417,37 @@ func TestGridHeatmapDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunReportsTelemetryWriteErrors: a telemetry sink that fails to
-// write (here /dev/full's ENOSPC) surfaces as an error from Run
-// instead of silently truncating the output.
+// TestRunReportsTelemetryWriteErrors: an output file that fails to
+// write (here /dev/full's ENOSPC) surfaces as an error from Run instead
+// of silently truncating the output. Every output path is covered, on a
+// run that completes and on a canceled one, whose files are written
+// from live state; subtests are named by flag ("metrics" for
+// -metrics-out).
 func TestRunReportsTelemetryWriteErrors(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("/dev/full not available")
 	}
-	for _, field := range []string{"trace", "metrics", "heatmap"} {
-		t.Run(field, func(t *testing.T) {
-			cfg := fastCfg()
-			switch field {
-			case "trace":
-				cfg.TraceOut = "/dev/full"
-			case "metrics":
-				cfg.MetricsOut = "/dev/full"
-			case "heatmap":
-				cfg.HeatmapOut = "/dev/full"
-			}
-			if _, err := Run(cfg); err == nil {
-				t.Errorf("%s output to /dev/full succeeded; write failure swallowed", field)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	var probe Config
+	for i, p := range probe.OutputPaths() {
+		flag, _, _ := strings.Cut(outputField(t, &probe, p).Tag.Get("flag"), ",")
+		t.Run(strings.TrimSuffix(flag, "-out"), func(t *testing.T) {
+			for _, run := range []struct {
+				name string
+				ctx  context.Context
+			}{{"completed", context.Background()}, {"canceled", canceled}} {
+				t.Run(run.name, func(t *testing.T) {
+					cfg := fastCfg()
+					*cfg.OutputPaths()[i] = "/dev/full"
+					_, err := RunContext(run.ctx, cfg)
+					if err == nil || !strings.Contains(err.Error(), "epnet: writing ") {
+						t.Fatalf("-%s to /dev/full: err = %v; write failure swallowed", flag, err)
+					}
+					if run.ctx == canceled && !errors.Is(err, context.Canceled) {
+						t.Errorf("write error replaced the cancellation: %v", err)
+					}
+				})
 			}
 		})
 	}

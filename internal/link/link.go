@@ -267,9 +267,8 @@ type Channel struct {
 	epochBusyMark    sim.Time // busyUpTo at the last ResetEpoch
 	epochResetAt     sim.Time
 
-	bytesThisEpoch int64
-	totalBytes     int64
-	totalPackets   int64
+	totalBytes   int64
+	totalPackets int64
 }
 
 // NewChannel creates an Active channel at the ladder's maximum rate.
@@ -491,7 +490,6 @@ func (c *Channel) StartTransmit(start sim.Time, n int) sim.Time {
 	c.busyUntil = done
 	c.busyBase += c.curEnd - c.curStart
 	c.curStart, c.curEnd = start, done
-	c.bytesThisEpoch += int64(n)
 	c.totalBytes += int64(n)
 	c.totalPackets++
 	return done
@@ -529,13 +527,8 @@ func (c *Channel) EpochUtilization(now sim.Time) float64 {
 	return float64(busy) / float64(window)
 }
 
-// EpochBytes returns the bytes whose transmission started in the
-// current epoch.
-func (c *Channel) EpochBytes() int64 { return c.bytesThisEpoch }
-
 // ResetEpoch starts a new utilization measurement epoch at time now.
 func (c *Channel) ResetEpoch(now sim.Time) {
-	c.bytesThisEpoch = 0
 	c.epochBusyMark = c.busyUpTo(now)
 	c.epochResetAt = now
 }
@@ -556,15 +549,10 @@ func (c *Channel) ResetAccounting(now sim.Time) {
 	c.offTime = 0
 	c.totalBytes = 0
 	c.totalPackets = 0
-	c.bytesThisEpoch = 0
 	c.epochBusyMark = c.busyUpTo(now)
 	c.epochResetAt = now
 	c.accountedSince = now
 }
-
-// AccountedSince returns the time accounting last started (zero or the
-// last ResetAccounting call).
-func (c *Channel) AccountedSince() sim.Time { return c.accountedSince }
 
 // Occupancy finalizes accounting at time now and returns the
 // time-at-rate distribution.

@@ -179,9 +179,6 @@ func TestChannelEpochUtilization(t *testing.T) {
 		t.Fatalf("utilization = %v, want 0.5", got)
 	}
 	c.ResetEpoch(epoch)
-	if c.EpochBytes() != 0 {
-		t.Fatal("ResetEpoch did not clear")
-	}
 	if got := c.EpochUtilization(2 * epoch); got != 0 {
 		t.Fatalf("utilization after reset = %v", got)
 	}
@@ -339,9 +336,6 @@ func TestChannelResetAccounting(t *testing.T) {
 	c.StartTransmit(0, 10000)
 	c.SetRate(10*sim.Microsecond, Rate10G, sim.Microsecond)
 	c.ResetAccounting(20 * sim.Microsecond)
-	if c.AccountedSince() != 20*sim.Microsecond {
-		t.Fatalf("AccountedSince = %v", c.AccountedSince())
-	}
 	if c.TotalBytes() != 0 || c.TotalPackets() != 0 {
 		t.Fatal("counters not cleared")
 	}
@@ -357,7 +351,7 @@ func TestChannelResetAccounting(t *testing.T) {
 	// 40G*10us = 400000 bit capacity -> 0.25.
 	avail, _ := c.AvailableAt(30 * sim.Microsecond)
 	c.StartTransmit(avail, 12500)
-	got := c.MeanUtilization(c.AccountedSince() + 10*sim.Microsecond)
+	got := c.MeanUtilization(30 * sim.Microsecond) // accounting restarted at 20us
 	if got < 0.24 || got > 0.26 {
 		t.Fatalf("MeanUtilization = %v, want 0.25", got)
 	}

@@ -5,7 +5,7 @@ import (
 )
 
 // TestLaneOrderingAtSameTime verifies that events at one timestamp run
-// in ascending (lane ID, per-lane order), with lane-0 (At/AtArg) events
+// in ascending (lane ID, per-lane order), with lane-0 (At) events
 // first — the canonical order the sharded fabric reproduces.
 func TestLaneOrderingAtSameTime(t *testing.T) {
 	e := New()

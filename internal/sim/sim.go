@@ -5,9 +5,9 @@
 // many simulated seconds inside an int64.
 //
 // Each engine is single-threaded and deterministic. Events scheduled at
-// the same timestamp are ordered by a 64-bit key: At and AtArg draw keys
-// from the engine's own counter (lane 0), preserving FIFO order of
-// scheduling, while AtLane and AtArgLane draw from a caller-owned Lane.
+// the same timestamp are ordered by a 64-bit key: At draws keys from the
+// engine's own counter (lane 0), preserving FIFO order of scheduling,
+// while AtLane and AtArgLane draw from a caller-owned Lane.
 // Lanes make the execution order a pure function of per-entity scheduling
 // order rather than global scheduling order, which is what lets a sharded
 // simulation (several engines advancing in lockstep windows) replay the
@@ -59,7 +59,7 @@ func (t Time) String() string {
 type Event func(now Time)
 
 // ArgEvent is a callback that receives scheduling-time arguments. Used
-// with AtArg and a pre-bound function value it lets hot paths schedule
+// with AtArgLane and a pre-bound function value it lets hot paths schedule
 // events without allocating a closure per event.
 type ArgEvent func(now Time, arg any, n int64)
 
@@ -85,7 +85,7 @@ type Lane struct {
 
 // NewLane returns a lane with the given ID. Keys from lane id sort after
 // every key from lanes with smaller IDs at the same timestamp; lane 0 is
-// reserved for the engine's internal counter (At/AtArg).
+// reserved for the engine's internal counter (At).
 func NewLane(id uint64) Lane {
 	if id == 0 || id > MaxLaneID {
 		panic(fmt.Sprintf("sim: lane ID %d out of range [1, %d]", id, uint64(MaxLaneID)))
@@ -223,7 +223,7 @@ func (e *Engine) NextAt() (Time, bool) {
 }
 
 // At schedules fn to run at absolute time at, ordered on the engine's
-// own lane (lane 0): FIFO among all At/AtArg events at the same
+// own lane (lane 0): FIFO among all At events at the same
 // timestamp, and ahead of any Lane-keyed event there. Scheduling in the
 // past (before Now) panics: it indicates a model bug that would silently
 // corrupt causality.
@@ -236,18 +236,6 @@ func (e *Engine) At(at Time, fn Event) {
 	e.queue.push(item{at: at, key: e.seq, fn: execEvent, arg: fn})
 }
 
-// AtArg schedules fn(at, arg, n) at absolute time at, on the engine's
-// lane 0 like At. With a pre-bound fn (stored once, not a fresh closure)
-// and a pointer-shaped arg this schedules without allocating. The same
-// past-scheduling rule as At applies.
-func (e *Engine) AtArg(at Time, fn ArgEvent, arg any, n int64) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
-	}
-	e.seq++
-	e.queue.push(item{at: at, key: e.seq, fn: fn, arg: arg, n: n})
-}
-
 // AtLane schedules fn at absolute time at, drawing its ordering key from
 // l instead of the engine counter.
 func (e *Engine) AtLane(at Time, l *Lane, fn Event) {
@@ -258,8 +246,9 @@ func (e *Engine) AtLane(at Time, l *Lane, fn Event) {
 }
 
 // AtArgLane schedules fn(at, arg, n) at absolute time at, drawing its
-// ordering key from l instead of the engine counter. Zero-alloc like
-// AtArg.
+// ordering key from l instead of the engine counter. With a pre-bound
+// fn (stored once, not a fresh closure) and a pointer-shaped arg this
+// schedules without allocating.
 func (e *Engine) AtArgLane(at Time, l *Lane, fn ArgEvent, arg any, n int64) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))

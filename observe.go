@@ -7,12 +7,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 
 	"epnet/internal/core"
 	"epnet/internal/fabric"
 	"epnet/internal/fault"
-	"epnet/internal/link"
 	"epnet/internal/power"
 	"epnet/internal/routing"
 	"epnet/internal/sim"
@@ -60,12 +61,164 @@ var utilBuckets = []float64{
 	0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 1.00,
 }
 
-// observer wires a run's optional telemetry: the metrics sampler
-// behind Config.MetricsOut, the Chrome trace stream behind
-// Config.TraceOut, the utilization heatmap and histogram behind
-// Config.HeatmapOut/HistOut, and the live-inspection publisher behind
-// Config.Inspector. newObserver returns nil when everything is
-// disabled, so Run pays nothing for observability it did not ask for.
+// collector names what feeds an output: Run builds the engine profiler
+// and the flow collector, the observer the rest.
+type collector uint8
+
+const (
+	fromProfiler collector = iota
+	fromFlows
+	fromSampler // the metric registry and its sampler
+	fromHeatmap // the utilization heatmap
+	fromTracer  // the Chrome trace stream
+	numCollectors
+)
+
+// output declares one report a run produces: a file behind a Config
+// path field, a live inspector document, or both. The outputs table is
+// the one list of them. The observer's finish writes every configured
+// file and its publish renders every document; the inspector serves
+// them; Config.OutputPaths, which grid commands number, and the
+// sample-interval default read the same rows.
+type output struct {
+	name    string                // names the report in write errors
+	path    func(*Config) *string // Config path field; nil for a document only
+	formats []string              // file formats by extension; formats[0] is the default
+	from    collector
+
+	endpoint string // inspector path; "" for a file only
+	ctype    string // endpoint content type
+	about    string // endpoint line on the inspector index
+	idle     string // endpoint error until a document is published
+
+	// file renders the report in one of formats. It is nil for a file
+	// the run streams as it goes (the Chrome trace), which finish only
+	// closes.
+	file func(o *observer, format string, w io.Writer) error
+	// doc renders the live inspector document at sim time now.
+	doc func(o *observer, now sim.Time, w io.Writer) error
+}
+
+const noSample = "no sample published yet"
+
+// The profile and flow documents snapshot their collectors on sampler
+// ticks, which run on the control plane at barriers, when every shard
+// is quiescent. The profile is wall-clock based, so it is the one
+// document that is not deterministic.
+var outputs = []output{{
+	name:     "metrics",
+	path:     func(c *Config) *string { return &c.MetricsOut },
+	formats:  []string{"csv", "jsonl"},
+	from:     fromSampler,
+	endpoint: "/metrics",
+	ctype:    "text/plain; version=0.0.4; charset=utf-8",
+	about:    "Prometheus text-format scrape",
+	idle:     noSample,
+	file: func(o *observer, format string, w io.Writer) error {
+		if format == "jsonl" {
+			return o.sampler.WriteJSONL(w)
+		}
+		return o.sampler.WriteCSV(w)
+	},
+	doc: func(o *observer, _ sim.Time, w io.Writer) error { return o.reg.WritePrometheus(w) },
+}, {
+	name:     "snapshot",
+	from:     fromSampler,
+	endpoint: "/snapshot",
+	ctype:    "application/json",
+	about:    "JSON per-entity state (links, switches, outages, power)",
+	idle:     noSample,
+	doc:      func(o *observer, now sim.Time, w io.Writer) error { return json.NewEncoder(w).Encode(o.snapshot(now)) },
+}, {
+	name:    "trace",
+	path:    func(c *Config) *string { return &c.TraceOut },
+	formats: []string{"json"},
+	from:    fromTracer,
+}, {
+	name:    "heatmap",
+	path:    func(c *Config) *string { return &c.HeatmapOut },
+	formats: []string{"csv"},
+	from:    fromHeatmap,
+	file:    func(o *observer, _ string, w io.Writer) error { return o.heatmap.WriteCSV(w) },
+}, {
+	name:    "utilization histogram",
+	path:    func(c *Config) *string { return &c.HistOut },
+	formats: []string{"csv"},
+	from:    fromHeatmap,
+	file: func(o *observer, _ string, w io.Writer) error {
+		hist, err := o.heatmap.UtilizationHistogram(utilBuckets)
+		if err != nil {
+			return err
+		}
+		return hist.WriteCSV(w)
+	},
+}, {
+	name:     "profile",
+	path:     func(c *Config) *string { return &c.ProfileOut },
+	formats:  []string{"json", "csv"},
+	from:     fromProfiler,
+	endpoint: "/profile",
+	ctype:    "application/json",
+	about:    "JSON engine self-profile (requires Config.Profile)",
+	idle:     "no profile published (enable Config.Profile / epsim -profile)",
+	file:     func(o *observer, format string, w io.Writer) error { return writeReport(w, format, o.res.Profile) },
+	doc: func(o *observer, _ sim.Time, w io.Writer) error {
+		return json.NewEncoder(w).Encode(newEngineProfile(o.prof.Snapshot()))
+	},
+}, {
+	name:     "flow trace",
+	path:     func(c *Config) *string { return &c.FlowsOut },
+	formats:  []string{"json", "csv"},
+	from:     fromFlows,
+	endpoint: "/flows",
+	ctype:    "application/json",
+	about:    "JSON flow-trace decomposition (requires Config.FlowTrace)",
+	idle:     "no flow trace published (enable Config.FlowTrace / epsim -flow-trace)",
+	file:     func(o *observer, format string, w io.Writer) error { return writeReport(w, format, o.res.FlowTrace) },
+	doc:      func(o *observer, _ sim.Time, w io.Writer) error { return json.NewEncoder(w).Encode(o.liveFlows()) },
+}}
+
+// active reports whether cfg asks for the output: its path is set, or
+// it has an endpoint and the run publishes to an inspector.
+func (out *output) active(cfg *Config) bool {
+	return (out.path != nil && *out.path(cfg) != "") ||
+		(out.endpoint != "" && cfg.Inspector != nil)
+}
+
+// ticks reports whether the output's collector samples at
+// Config.SampleInterval.
+func (out *output) ticks() bool { return out.from == fromSampler || out.from == fromHeatmap }
+
+// format picks the file format for path: the one its extension names
+// when the output supports it, the output's default otherwise.
+func (out *output) format(path string) string {
+	ext := strings.TrimPrefix(filepath.Ext(path), ".")
+	if slices.Contains(out.formats, ext) {
+		return ext
+	}
+	return out.formats[0]
+}
+
+// csvReport is a report with a CSV form besides its JSON one.
+type csvReport interface{ WriteCSV(io.Writer) error }
+
+// writeReport writes r as CSV when format is "csv", as indented JSON
+// otherwise.
+func writeReport(w io.Writer, format string, r csvReport) error {
+	if format == "csv" {
+		return r.WriteCSV(w)
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(r)
+}
+
+// observer wires a run's outputs: it builds the collectors the
+// configured rows of the outputs table read (the metrics sampler, the
+// utilization heatmap, the Chrome trace stream), publishes the
+// inspector documents at every sample, and writes every output file
+// once, in finish. newObserver returns nil when no output is asked
+// for, so Run pays nothing for observability it did not ask for.
 type observer struct {
 	cfg       Config
 	e         *sim.Engine
@@ -73,7 +226,7 @@ type observer struct {
 	inj       *fault.Injector
 	prof      *telemetry.EngineProfiler
 	flow      *telemetry.FlowCollector
-	flowChans []string
+	labels    []string // channel labels for flow reports, built on first use
 	reg       *telemetry.Registry
 	sampler   *telemetry.Sampler
 	heatmap   *telemetry.Heatmap
@@ -81,10 +234,9 @@ type observer struct {
 	traceFile *os.File
 	measured  *power.Meter
 	ideal     *power.Meter
-	snapBuf   bytes.Buffer
-	promBuf   bytes.Buffer
-	profBuf   bytes.Buffer
-	flowBuf   bytes.Buffer
+	has       [numCollectors]bool // which collectors feed this run's outputs
+	res       *Result             // what finish writes the profile and flow files from
+	buf       bytes.Buffer
 	done      bool
 }
 
@@ -97,20 +249,22 @@ func newObserver(cfg Config, e *sim.Engine, net *fabric.Network,
 	ctrl *core.Controller, fr *routing.FBFLY, inj *fault.Injector,
 	prof *telemetry.EngineProfiler, flow *telemetry.FlowCollector,
 	horizon sim.Time) (o *observer, err error) {
-	if cfg.MetricsOut == "" && cfg.TraceOut == "" && cfg.HeatmapOut == "" &&
-		cfg.HistOut == "" && cfg.Inspector == nil {
+	var need [numCollectors]bool
+	for i := range outputs {
+		need[outputs[i].from] = need[outputs[i].from] || outputs[i].active(&cfg)
+	}
+	if need == [numCollectors]bool{} {
 		return nil, nil
 	}
 	o = &observer{cfg: cfg, e: e, net: net, inj: inj, prof: prof, flow: flow}
-	if flow != nil && cfg.Inspector != nil {
-		o.flowChans = chanLabels(net)
-	}
+	o.has = need
+	o.has[fromProfiler], o.has[fromFlows] = prof != nil, flow != nil
 	defer func() {
 		if err != nil && o.traceFile != nil {
 			o.traceFile.Close()
 		}
 	}()
-	if cfg.TraceOut != "" {
+	if need[fromTracer] {
 		f, ferr := os.Create(cfg.TraceOut)
 		if ferr != nil {
 			return nil, fmt.Errorf("epnet: creating trace output: %w", ferr)
@@ -131,19 +285,18 @@ func newObserver(cfg Config, e *sim.Engine, net *fabric.Network,
 			inj.Tracer = o.tracer
 		}
 	}
-	if cfg.HeatmapOut != "" || cfg.HistOut != "" {
+	if need[fromHeatmap] {
 		h, herr := telemetry.NewHeatmap(simTime(cfg.SampleInterval))
 		if herr != nil {
 			return nil, herr
 		}
 		for _, ch := range net.InterSwitchChannels() {
-			l := ch.L
-			h.AddRow(ch.Label(), l.BusyTime)
+			h.AddRow(ch.Label(), ch.L.BusyTime)
 		}
 		o.heatmap = h
 		h.Start(e, horizon)
 	}
-	if cfg.MetricsOut != "" || cfg.Inspector != nil {
+	if need[fromSampler] {
 		reg := telemetry.NewRegistry()
 		if err := reg.GaugeFunc("sim.events_processed",
 			func() float64 { return float64(net.EventsProcessed()) }); err != nil {
@@ -171,10 +324,7 @@ func newObserver(cfg Config, e *sim.Engine, net *fabric.Network,
 				return nil, err
 			}
 		}
-		chans := make([]*link.Channel, 0, len(net.Channels()))
-		for _, ch := range net.Channels() {
-			chans = append(chans, ch.L)
-		}
+		chans := linkChannels(net)
 		o.measured = power.NewMeter(power.InfiniBandOptical(), chans)
 		o.ideal = power.NewMeter(power.NewIdeal(net.Cfg.Ladder.Max()), chans)
 		for _, m := range []*power.Meter{o.measured, o.ideal} {
@@ -240,40 +390,32 @@ func newObserver(cfg Config, e *sim.Engine, net *fabric.Network,
 	return o, nil
 }
 
-// publish renders the scrape body and the per-entity snapshot on the
-// engine thread and hands copies to the inspector. Both documents are
-// pure functions of simulation state, so repeated seeded runs publish
-// byte-identical final documents. The engine profile, when profiling
-// is on, rides along as a third document (wall-clock based, so not
-// deterministic — it feeds /profile, nothing else).
+// publish renders every inspector document on the engine thread and
+// hands the set to the inspector. All but the engine profile are pure
+// functions of simulation state, so repeated seeded runs publish
+// byte-identical final documents.
 func (o *observer) publish(now sim.Time) {
-	o.promBuf.Reset()
-	o.reg.WritePrometheus(&o.promBuf)
-	o.snapBuf.Reset()
-	json.NewEncoder(&o.snapBuf).Encode(o.snapshot(now))
-	prom := make([]byte, o.promBuf.Len())
-	copy(prom, o.promBuf.Bytes())
-	snap := make([]byte, o.snapBuf.Len())
-	copy(snap, o.snapBuf.Bytes())
-	var prof []byte
-	if o.prof != nil {
-		// Sampler ticks run on the control plane at barriers, when every
-		// shard is quiescent — the one safe instant to snapshot.
-		o.profBuf.Reset()
-		json.NewEncoder(&o.profBuf).Encode(newEngineProfile(o.prof.Snapshot()))
-		prof = make([]byte, o.profBuf.Len())
-		copy(prof, o.profBuf.Bytes())
+	docs := make(map[string][]byte, len(outputs))
+	for i := range outputs {
+		out := &outputs[i]
+		if out.endpoint == "" || !o.has[out.from] {
+			continue
+		}
+		o.buf.Reset()
+		out.doc(o, now, &o.buf)
+		docs[out.endpoint] = bytes.Clone(o.buf.Bytes())
 	}
-	var flows []byte
-	if o.flow != nil {
-		// Same quiescent instant; the live document carries no energy
-		// join (per-channel energies exist only at the end of the run).
-		o.flowBuf.Reset()
-		json.NewEncoder(&o.flowBuf).Encode(newFlowTraceReport(o.flow.Snapshot(), o.flowChans, nil, nil))
-		flows = make([]byte, o.flowBuf.Len())
-		copy(flows, o.flowBuf.Bytes())
+	o.cfg.Inspector.publish(docs)
+}
+
+// liveFlows is the flow-trace report of the collector's current state.
+// It carries no energy join: per-channel energies exist only in a
+// collected Result.
+func (o *observer) liveFlows() *FlowTraceReport {
+	if o.labels == nil {
+		o.labels = chanLabels(o.net)
 	}
-	o.cfg.Inspector.publish(prom, snap, prof, flows)
+	return newFlowTraceReport(o.flow.Snapshot(), o.labels, nil, nil)
 }
 
 // snapshot structures for the /snapshot JSON document. Field order is
@@ -368,75 +510,61 @@ func (o *observer) snapshot(now sim.Time) *snapshotDoc {
 	return doc
 }
 
-// finish takes the final (possibly partial-interval) samples, writes
-// the metrics/heatmap/histogram files, publishes the final inspection
-// documents, and terminates the trace stream. Safe on a nil observer
-// and idempotent: Run calls it on error paths too, so a canceled run
-// still flushes and closes everything it opened, and write failures
-// (including a tracer that latched an earlier disk-full error) are
-// all reported.
-func (o *observer) finish(now sim.Time) error {
+// finish takes the final (possibly partial-interval) samples, which
+// publishes the final inspector documents, writes every configured
+// output file and ends the trace stream. res is the Result of a run
+// that completed: the profile and flow files are written from it, so
+// the flow report keeps its energy join. A failed run passes nil and
+// gets those files from the collectors' live state. Safe on a nil
+// observer and idempotent: Run calls it on error paths too, so a
+// canceled run still flushes and closes everything it opened, and
+// write failures (including a tracer that latched an earlier disk-full
+// error) are all reported.
+func (o *observer) finish(now sim.Time, res *Result) error {
 	if o == nil || o.done {
 		return nil
 	}
 	o.done = true
-	var errs []error
 	if o.sampler != nil {
 		o.sampler.Finish(now)
-		if o.cfg.MetricsOut != "" {
-			if err := writeFile(o.cfg.MetricsOut, o.writeSeries); err != nil {
-				errs = append(errs, fmt.Errorf("epnet: writing metrics: %w", err))
-			}
-		}
 	}
 	if o.heatmap != nil {
 		o.heatmap.Finish(now)
-		if o.cfg.HeatmapOut != "" {
-			if err := writeFile(o.cfg.HeatmapOut, o.heatmap.WriteCSV); err != nil {
-				errs = append(errs, fmt.Errorf("epnet: writing heatmap: %w", err))
-			}
+	}
+	if res == nil {
+		res = &Result{}
+		if o.prof != nil {
+			res.Profile = newEngineProfile(o.prof.Snapshot())
 		}
-		if o.cfg.HistOut != "" {
-			hist, err := o.heatmap.UtilizationHistogram(utilBuckets)
-			if err == nil {
-				err = writeFile(o.cfg.HistOut, hist.WriteCSV)
-			}
-			if err != nil {
-				errs = append(errs, fmt.Errorf("epnet: writing utilization histogram: %w", err))
-			}
+		if o.flow != nil {
+			res.FlowTrace = o.liveFlows()
 		}
 	}
-	if o.tracer != nil {
-		terr := o.tracer.Close()
-		if cerr := o.traceFile.Close(); terr == nil {
-			terr = cerr
+	o.res = res
+	var errs []error
+	for i := range outputs {
+		out := &outputs[i]
+		if out.path == nil || *out.path(&o.cfg) == "" {
+			continue
 		}
-		if terr != nil {
-			errs = append(errs, fmt.Errorf("epnet: writing trace: %w", terr))
+		path := *out.path(&o.cfg)
+		var err error
+		if out.file == nil { // streamed during the run: end it
+			err = o.tracer.Close()
+			if cerr := o.traceFile.Close(); err == nil {
+				err = cerr
+			}
+		} else if f, cerr := os.Create(path); cerr != nil {
+			err = cerr
+		} else {
+			err = out.file(o, out.format(path), f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			errs = append(errs, fmt.Errorf("epnet: writing %s: %w", out.name, err))
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// writeFile creates path and streams write into it, reporting create,
-// write and close errors alike.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := write(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
-}
-
-// writeSeries streams the sampled series in the format implied by the
-// output path's extension.
-func (o *observer) writeSeries(w io.Writer) error {
-	if strings.HasSuffix(o.cfg.MetricsOut, ".jsonl") {
-		return o.sampler.WriteJSONL(w)
-	}
-	return o.sampler.WriteCSV(w)
 }

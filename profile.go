@@ -2,12 +2,10 @@ package epnet
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"sort"
-	"strings"
 	"time"
 
 	"epnet/internal/fabric"
@@ -282,26 +280,6 @@ func (p *EngineProfile) WriteCSV(w io.Writer) error {
 			s.PeakPending, s.StagedOutEvents, s.StagedOutBytes)
 	}
 	return bw.Flush()
-}
-
-// writeJSON streams the profile as indented JSON.
-func (p *EngineProfile) writeJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(p)
-}
-
-// writeProfileOut writes the profile to path: CSV when the path ends in
-// ".csv", JSON otherwise.
-func writeProfileOut(path string, p *EngineProfile) error {
-	write := p.writeJSON
-	if strings.HasSuffix(path, ".csv") {
-		write = p.WriteCSV
-	}
-	if err := writeFile(path, write); err != nil {
-		return fmt.Errorf("epnet: writing profile: %w", err)
-	}
-	return nil
 }
 
 // PartitionInfo describes the shard partition a configuration would

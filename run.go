@@ -94,6 +94,15 @@ func chanLabels(net *fabric.Network) []string {
 	return labels
 }
 
+// linkChannels returns every channel's link, indexed by channel.
+func linkChannels(net *fabric.Network) []*link.Channel {
+	chans := make([]*link.Channel, len(net.Channels()))
+	for i, ch := range net.Channels() {
+		chans[i] = ch.L
+	}
+	return chans
+}
+
 // buildInjector constructs and wires the fault injector when cfg or the
 // run plan asks for any kind of fault, or returns nil.
 func buildInjector(cfg Config, plan *runPlan, net *fabric.Network, router routing.Router,
@@ -347,20 +356,11 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 
-	// fail funnels early exits after the observer exists: flush the
-	// files the observer opened and best-effort write the profile and
-	// flow-trace outputs, so an interrupted run (^C on epsim) still
-	// leaves its diagnostics behind.
+	// fail funnels early exits after the observer exists: it writes
+	// every configured output from live state, so an interrupted run
+	// (^C on epsim) still leaves its diagnostics behind.
 	fail := func(err error) (Result, error) {
-		errs := []error{err, obs.finish(e.Now())}
-		if eprof != nil && cfg.ProfileOut != "" {
-			errs = append(errs, writeProfileOut(cfg.ProfileOut, newEngineProfile(eprof.Snapshot())))
-		}
-		if flow != nil && cfg.FlowsOut != "" {
-			errs = append(errs, writeFlowsOut(cfg.FlowsOut,
-				newFlowTraceReport(flow.Snapshot(), chanLabels(net), nil, nil)))
-		}
-		return Result{}, errors.Join(errs...)
+		return Result{}, errors.Join(err, obs.finish(e.Now(), nil))
 	}
 
 	// Traffic. Phase 0's sources start inline here — the engine is at
@@ -385,28 +385,20 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	var trace []PowerSample
 	if cfg.PowerSampleEvery > 0 {
 		interval := simTime(cfg.PowerSampleEvery)
-		measured := power.InfiniBandOptical()
-		idealP := power.NewIdeal(net.Cfg.Ladder.Max())
+		chans := linkChannels(net)
+		measured := power.NewMeter(power.InfiniBandOptical(), chans)
+		ideal := power.NewMeter(power.NewIdeal(net.Cfg.Ladder.Max()), chans)
+		capacity := float64(net.Cfg.Ladder.Max()) / 8 * interval.Seconds() * float64(len(chans))
 		var lastBytes int64
 		var sample func(now sim.Time)
 		sample = func(now sim.Time) {
 			if now > horizon {
 				return
 			}
-			var pm, pi float64
 			var bytes int64
-			for _, ch := range net.Channels() {
-				if ch.L.State(now) == link.Off {
-					pm += measured.Off()
-					pi += idealP.Off()
-				} else {
-					pm += measured.Relative(ch.L.Rate())
-					pi += idealP.Relative(ch.L.Rate())
-				}
-				bytes += ch.L.TotalBytes()
+			for _, c := range chans {
+				bytes += c.TotalBytes()
 			}
-			n := float64(len(net.Channels()))
-			capacity := float64(net.Cfg.Ladder.Max()) / 8 * interval.Seconds() * n
 			util := 0.0
 			if capacity > 0 {
 				util = float64(bytes-lastBytes) / capacity
@@ -414,8 +406,8 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 			lastBytes = bytes
 			trace = append(trace, PowerSample{
 				At:       toDuration(now - warmup),
-				Measured: pm / n,
-				Ideal:    pi / n,
+				Measured: measured.Relative(now),
+				Ideal:    ideal.Relative(now),
 				Util:     util,
 			})
 			e.After(interval, sample)
@@ -448,9 +440,6 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	}
 	if acct != nil {
 		acct.snaps[len(plan.phases)] = acct.snapshot()
-	}
-	if err := obs.finish(e.Now()); err != nil {
-		return Result{}, err
 	}
 
 	// Fold the per-shard latency recorders into one distribution. Merge
@@ -634,19 +623,12 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 		for i := range res.PhaseScores {
 			res.FlowTrace.Classes[i].applyToScore(&res.PhaseScores[i])
 		}
-		if cfg.FlowsOut != "" {
-			if err := writeFlowsOut(cfg.FlowsOut, res.FlowTrace); err != nil {
-				return Result{}, err
-			}
-		}
 	}
 	if eprof != nil {
 		res.Profile = newEngineProfile(eprof.Snapshot())
-		if cfg.ProfileOut != "" {
-			if err := writeProfileOut(cfg.ProfileOut, res.Profile); err != nil {
-				return Result{}, err
-			}
-		}
+	}
+	if err := obs.finish(now, &res); err != nil {
+		return Result{}, err
 	}
 	return res, nil
 }
@@ -669,29 +651,4 @@ func RunGridContext(ctx context.Context, cfgs []Config, workers int) ([]Result, 
 	return parallel.Map(len(cfgs), workers, func(i int) (Result, error) {
 		return RunContext(ctx, cfgs[i])
 	})
-}
-
-// RunBaselinePair runs cfg and its always-on baseline twin (identical
-// except Policy=Baseline) and returns both plus the additional mean
-// latency the energy-proportional configuration costs — the paper's
-// Figure 9 metric.
-func RunBaselinePair(cfg Config) (ep, base Result, addedMean time.Duration, err error) {
-	return RunBaselinePairContext(context.Background(), cfg)
-}
-
-// RunBaselinePairContext is RunBaselinePair with cooperative
-// cancellation through ctx.
-func RunBaselinePairContext(ctx context.Context, cfg Config) (ep, base Result, addedMean time.Duration, err error) {
-	bcfg := cfg
-	bcfg.Policy = PolicyBaseline
-	base, err = RunContext(ctx, bcfg)
-	if err != nil {
-		return
-	}
-	ep, err = RunContext(ctx, cfg)
-	if err != nil {
-		return
-	}
-	addedMean = ep.MeanLatency - base.MeanLatency
-	return
 }

@@ -38,9 +38,6 @@ type (
 	ChaosGroup = scenario.Group
 )
 
-// ParseScenario parses and validates a scenario document.
-func ParseScenario(data []byte) (*Scenario, error) { return scenario.Parse(data) }
-
 //go:embed scenarios/*.json
 var scenarioFS embed.FS
 
