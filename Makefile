@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet perfbench-check bench bench-json bench-compare fmt fmt-check experiments smoke-faults smoke-scenarios smoke-flows smoke-scale observe-demo profile-demo
+.PHONY: all build test race vet perfbench-check bench bench-json bench-compare fmt fmt-check experiments smoke-faults smoke-scenarios smoke-flows smoke-scale smoke-mega observe-demo profile-demo
 
 all: build test
 
@@ -27,14 +27,15 @@ perfbench-check:
 	$(GO) -C perfbench test ./...
 
 # Hot-path microbenchmarks: event engine scheduling and fabric
-# packet throughput (ns/op, allocs/op), plus the figure regenerators.
+# packet throughput (ns/op, allocs/op), plus the per-host cost of
+# building a fabric and starting the Uniform workload (B/host).
 bench:
-	$(GO) test -bench . -benchmem ./internal/sim/ ./internal/fabric/
+	$(GO) test -bench . -benchmem ./internal/sim/ ./internal/fabric/ ./internal/traffic/
 
 # Machine-readable benchmark results (JSON Lines on stdout), for
 # regression tracking: make bench-json > bench.jsonl
 bench-json:
-	@$(GO) test -bench . -benchmem ./internal/sim/ ./internal/fabric/ ./internal/telemetry/ | $(GO) run ./cmd/benchjson
+	@$(GO) test -bench . -benchmem ./internal/sim/ ./internal/fabric/ ./internal/telemetry/ ./internal/traffic/ | $(GO) run ./cmd/benchjson
 
 # Diff current benchmark times against the checked-in baseline
 # (BENCH_seed.json, regenerate with: make bench-json > BENCH_seed.json).
@@ -44,7 +45,7 @@ bench-json:
 # fails, since cross-machine benchmark noise makes a hard gate
 # counterproductive — read the report.
 bench-compare:
-	@$(GO) test -bench . -benchmem ./internal/sim/ ./internal/fabric/ ./internal/telemetry/ | $(GO) run ./cmd/benchjson -compare BENCH_seed.json
+	@$(GO) test -bench . -benchmem ./internal/sim/ ./internal/fabric/ ./internal/telemetry/ ./internal/traffic/ | $(GO) run ./cmd/benchjson -compare BENCH_seed.json
 
 fmt:
 	gofmt -l -w .
@@ -97,6 +98,16 @@ smoke-flows:
 smoke-scale:
 	timeout 60 $(GO) run ./cmd/epsim -topology fbfly -k 8 -n 5 -c 8 \
 		-workload uniform -load 0.05 -warmup 20us -duration 100us -shards 0
+
+# Mega smoke: the 262,144-host 8-ary 6-flat of the whole-run
+# benchmark's mega-uniform workload (Uniform at 5%, a 20us window, two
+# shards) through epsim under a hard wall-clock bound. Only ~1% of
+# hosts send inside the window, so the run is dominated by build and
+# source start. This target bounds time only; memory per idle host is
+# gated by TestUniformStartBytesPerHost in internal/traffic.
+smoke-mega:
+	timeout 30 $(GO) run ./cmd/epsim -topology fbfly -k 8 -n 6 -c 8 \
+		-workload uniform -load 0.05 -warmup 0 -duration 20us -shards 2
 
 # The full observability stack gating the determinism contract: the
 # same search run at -shards 1 and -shards 4 writes every file output

@@ -342,7 +342,8 @@ func engineProfile(w io.Writer, current []Result, base map[string]Result) {
 }
 
 // buildMemory prints the construction-cost section for every benchmark
-// that reported per-host metrics (BenchmarkBuildNetwork): bytes of
+// that reported per-host metrics (BenchmarkBuildNetwork,
+// BenchmarkUniformStart): bytes of
 // allocation and build time per host, with the baseline alongside.
 // Bytes/host growth beyond 25% is flagged — construction memory is the
 // thing the flyweight fabric exists to bound, and a silent creep back

@@ -35,6 +35,7 @@ import (
 
 	"epnet/internal/fault"
 	"epnet/internal/sim"
+	"epnet/internal/traffic"
 )
 
 // PolicyKind selects the link-rate control policy for a simulation.
@@ -511,6 +512,9 @@ func (c *Config) Validate() error {
 	}
 	if c.Load < 0 || c.Load >= 1 {
 		return fieldErr("Load", "%v out of [0,1)", c.Load)
+	}
+	if c.Load > 0 && c.Load < traffic.MinLoad {
+		return fieldErr("Load", "%v below the smallest load %v", c.Load, traffic.MinLoad)
 	}
 	if c.TargetUtil == 0 {
 		c.TargetUtil = 0.5

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"epnet/internal/traffic"
 )
 
 // TestConfigErrorsCarryFieldNames drives every validation branch and
@@ -63,6 +65,9 @@ func TestConfigErrorsCarryFieldNames(t *testing.T) {
 		{"FaultRate", func(c *Config) { c.FaultRate = 0.5; c.Routing = RoutingDOR }, nil},
 		{"FaultMTTR", func(c *Config) { c.FaultRate = 0.5; c.FaultMTTR = -time.Microsecond }, nil},
 		{"Load", func(c *Config) { c.Load = 1.0 }, nil},
+		// Below traffic.MinLoad a generator's gaps overflow sim.Time.
+		{"Load", func(c *Config) { c.Load = 1e-12 }, nil},
+		{"Load", func(c *Config) { c.Load = 5e-324 }, nil},
 		{"TargetUtil", func(c *Config) { c.TargetUtil = 1.5 }, nil},
 		{"Reactivation", func(c *Config) { c.Reactivation = -time.Microsecond }, nil},
 		{"Epoch", func(c *Config) { c.Epoch = time.Microsecond; c.Reactivation = 2 * time.Microsecond }, nil},
@@ -118,5 +123,9 @@ func TestValidConfigHasNoError(t *testing.T) {
 	cfg := DefaultConfig()
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("DefaultConfig invalid: %v", err)
+	}
+	cfg.Load = traffic.MinLoad
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("load at traffic.MinLoad rejected: %v", err)
 	}
 }

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"epnet/internal/fault"
+	"epnet/internal/traffic"
 )
 
 // Version is the only scenario schema version this library reads.
@@ -149,8 +150,8 @@ const DefaultShapeSteps = 8
 // generator at a fixed load.
 type Shape struct {
 	Kind string `json:"kind"`
-	// MinLoad is the shape's trough (default 0). A slice whose load
-	// rounds to zero injects nothing.
+	// MinLoad is the shape's trough (default 0). A slice whose load is
+	// below traffic.MinLoad injects nothing.
 	MinLoad float64 `json:"min_load,omitempty"`
 	// Period is the diurnal cycle length (default: the whole phase).
 	Period Duration `json:"period,omitempty"`
@@ -324,6 +325,9 @@ func (t *Traffic) validate(path string) error {
 	}
 	if t.Load < 0 || t.Load >= 1 {
 		return errf(path+".load", "%v out of [0,1)", t.Load)
+	}
+	if t.Load > 0 && t.Load < traffic.MinLoad {
+		return errf(path+".load", "%v below the smallest load %v", t.Load, traffic.MinLoad)
 	}
 	if sh := t.Shape; sh != nil {
 		switch sh.Kind {

@@ -96,6 +96,10 @@ func TestParseRejects(t *testing.T) {
 			"traffic": [{"workload": "bitcoin"}]}]}`, "workload"},
 		{"load out of range", `{"version": 1, "phases": [{"name": "a", "duration": "1us",
 			"traffic": [{"workload": "uniform", "load": 1.5}]}]}`, "load"},
+		{"load below the floor", `{"version": 1, "phases": [{"name": "a", "duration": "1us",
+			"traffic": [{"workload": "uniform", "load": 1e-12}]}]}`, "phases[0].traffic[0].load"},
+		{"denormal load", `{"version": 1, "phases": [{"name": "a", "duration": "1us",
+			"traffic": [{"workload": "search", "load": 5e-324}]}]}`, "phases[0].traffic[0].load"},
 		{"shape without peak", `{"version": 1, "phases": [{"name": "a", "duration": "1us",
 			"traffic": [{"workload": "uniform", "shape": {"kind": "ramp"}}]}]}`, "load"},
 		{"min above peak", `{"version": 1, "phases": [{"name": "a", "duration": "1us",

@@ -165,7 +165,7 @@ func (p *paced) Run(e *sim.Engine, tgt traffic.Target, from, until sim.Time) {
 		s0 := from + span*sim.Time(i)/sim.Time(steps)
 		s1 := from + span*sim.Time(i+1)/sim.Time(steps)
 		load := p.loadAt(float64(s0-from)/2+float64(s1-from)/2, float64(span))
-		if load <= 1e-9 {
+		if load < traffic.MinLoad {
 			continue
 		}
 		w := p.mk(load, sliceSeed(p.seed, i))

@@ -30,6 +30,13 @@ type Target interface {
 	InjectMessage(src, dst, size int)
 }
 
+// MinLoad is the smallest positive load a generator accepts. Gaps
+// scale with 1/load: at MinLoad the longest (the tail of Search's
+// block-shuffle gap) is about 3×10⁴ s, inside sim.Time's 9×10⁶ s,
+// while at a load of 1e-11 it is 3×10⁹ s and overflows. The paper's
+// loads are 5-25%.
+const MinLoad = 1e-6
+
 // Workload schedules message injections on an engine until a horizon.
 type Workload interface {
 	// Name identifies the workload in reports.
@@ -83,6 +90,15 @@ func (p Pareto) ScaleToMean(m float64) Pareto {
 	return Pareto{Alpha: p.Alpha, Min: p.Min * s, Max: p.Max * s}
 }
 
+// hostSeed derives the seed of host (or stream) h's private stream
+// from a generator seed. It is the one per-host derivation in this
+// package: every per-host stream is hostRand(seed, h), a pure function
+// of (seed, h), so a generator may create it whenever it is first read.
+func hostSeed(seed int64, h int) int64 { return seed ^ int64(h)*0x2545F4914F6CDD1D }
+
+// hostRand returns host h's private stream for a generator seed.
+func hostRand(seed int64, h int) *rand.Rand { return rand.New(rand.NewSource(hostSeed(seed, h))) }
+
 // Uniform is the paper's synthetic workload: every host repeatedly
 // sends a MsgBytes message to a new uniformly random destination, with
 // exponentially distributed gaps sized to offer Load of line rate.
@@ -105,18 +121,25 @@ func (u *Uniform) Name() string { return "Uniform" }
 // AvgUtil implements Workload.
 func (u *Uniform) AvgUtil() float64 { return u.Load }
 
-// Start implements Workload.
+// Start implements Workload. A host's own stream is first read in its
+// first send, so it is seeded there: at low load most hosts of a large
+// fabric never send before the horizon and never pay for a source. The
+// stream is a pure function of (Seed, h), so the draws are the same as
+// if it had been seeded here.
 func (u *Uniform) Start(e *sim.Engine, tgt Target, horizon sim.Time) {
 	n := tgt.NumHosts()
 	meanGapSec := float64(u.MsgBytes*8) / (u.Load * float64(u.LineRate))
 	rng := rand.New(rand.NewSource(u.Seed))
 	for h := 0; h < n; h++ {
 		h := h
-		hrng := rand.New(rand.NewSource(u.Seed ^ int64(h)*0x2545F4914F6CDD1D))
+		var hrng *rand.Rand
 		var send func(now sim.Time)
 		send = func(now sim.Time) {
 			if now > horizon {
 				return
+			}
+			if hrng == nil {
+				hrng = hostRand(u.Seed, h)
 			}
 			dst := hrng.Intn(n)
 			if dst == h {
@@ -253,7 +276,7 @@ func (t *TraceLike) Start(e *sim.Engine, tgt Target, horizon sim.Time) {
 	// Client request/response loops.
 	for _, c := range clients {
 		c := c
-		crng := rand.New(rand.NewSource(t.Seed ^ int64(c)*0x2545F4914F6CDD1D))
+		crng := hostRand(t.Seed, c)
 		var loop func(now sim.Time)
 		loop = func(now sim.Time) {
 			if now > horizon {
@@ -288,7 +311,7 @@ func (t *TraceLike) Start(e *sim.Engine, tgt Target, horizon sim.Time) {
 	// Background block shuffles from every host.
 	for h := 0; h < n; h++ {
 		h := h
-		hrng := rand.New(rand.NewSource(t.Seed ^ 0x5DEECE66D ^ int64(h)*0x2545F4914F6CDD1D))
+		hrng := hostRand(t.Seed^0x5DEECE66D, h)
 		var loop func(now sim.Time)
 		loop = func(now sim.Time) {
 			if now > horizon {
@@ -337,7 +360,7 @@ func (p *Permutation) Start(e *sim.Engine, tgt Target, horizon sim.Time) {
 		if dst == h {
 			dst = (dst + 1) % n
 		}
-		hrng := rand.New(rand.NewSource(p.Seed ^ int64(h)*0x2545F4914F6CDD1D))
+		hrng := hostRand(p.Seed, h)
 		var send func(now sim.Time)
 		send = func(now sim.Time) {
 			if now > horizon {
@@ -379,7 +402,7 @@ func (p *Hotspot) Start(e *sim.Engine, tgt Target, horizon sim.Time) {
 	meanGapSec := float64(p.MsgBytes*8) / (p.Load * float64(p.LineRate))
 	for h := 0; h < n; h++ {
 		h := h
-		hrng := rand.New(rand.NewSource(p.Seed ^ int64(h)*0x2545F4914F6CDD1D))
+		hrng := hostRand(p.Seed, h)
 		var send func(now sim.Time)
 		send = func(now sim.Time) {
 			if now > horizon {
@@ -427,7 +450,7 @@ func (p *Tornado) Start(e *sim.Engine, tgt Target, horizon sim.Time) {
 		if dst == h {
 			dst = (dst + 1) % n
 		}
-		hrng := rand.New(rand.NewSource(p.Seed ^ int64(h)*0x2545F4914F6CDD1D))
+		hrng := hostRand(p.Seed, h)
 		var send func(now sim.Time)
 		send = func(now sim.Time) {
 			if now > horizon {
