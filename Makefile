@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet perfbench-check bench bench-json bench-compare fmt fmt-check experiments smoke-faults smoke-scenarios smoke-flows smoke-scale smoke-mega observe-demo profile-demo
+.PHONY: all build test race vet perfbench-check bench bench-json bench-compare fmt fmt-check experiments golden smoke-faults smoke-trace smoke-scenarios smoke-flows smoke-scale smoke-mega observe-demo profile-demo
 
 all: build test
 
@@ -57,6 +57,34 @@ fmt-check:
 
 experiments:
 	$(GO) run ./cmd/experiments
+
+# The experiment harness at default scale must reproduce the checked-in
+# golden byte for byte (its timing lines go to stderr, not stdout).
+# The file lands in /tmp/epnet-golden. ~15s.
+golden:
+	mkdir -p /tmp/epnet-golden
+	$(GO) run ./cmd/experiments > /tmp/epnet-golden/experiments_default.txt
+	cmp /tmp/epnet-golden/experiments_default.txt results/experiments_default.txt
+
+# Trace tooling end to end: tracegen writes every workload kind at 64
+# hosts (epsim's default topology) and epsim replays one of them; then
+# a 64-host trace replayed on a 16-host fabric must be rejected as a
+# configuration error (nonzero exit, no panic). Files land in
+# /tmp/epnet-trace.
+TRACE_DIR = /tmp/epnet-trace
+TRACE_KINDS = uniform search advert permutation hotspot tornado incast migration
+smoke-trace:
+	mkdir -p $(TRACE_DIR)
+	$(GO) build -o $(TRACE_DIR)/tracegen ./cmd/tracegen
+	$(GO) build -o $(TRACE_DIR)/epsim ./cmd/epsim
+	@set -e; for w in $(TRACE_KINDS); do \
+		$(TRACE_DIR)/tracegen -workload $$w -hosts 64 -horizon 1ms -o $(TRACE_DIR)/$$w.trace; done
+	$(TRACE_DIR)/epsim -workload trace -trace $(TRACE_DIR)/search.trace -duration 1ms -warmup 100us
+	@if $(TRACE_DIR)/epsim -workload trace -trace $(TRACE_DIR)/uniform.trace \
+		-k 4 -n 2 -c 4 -duration 1ms -warmup 0 > $(TRACE_DIR)/wide.out 2>&1; then \
+		echo "smoke-trace: a 64-host trace ran on 16 hosts"; exit 1; fi
+	@cat $(TRACE_DIR)/wide.out
+	@if grep -q panic $(TRACE_DIR)/wide.out; then echo "smoke-trace: replay panicked"; exit 1; fi
 
 # Short resilience run under random faults; exercises the fault
 # injector end to end without the full experiment suite.

@@ -1,6 +1,8 @@
 // Command tracegen generates synthetic workload trace files in the
-// EPTRACE1 binary format, and inspects existing ones. Generated traces
-// can be replayed with `epsim -workload trace -trace <file>` or via
+// EPTRACE1 binary format, and inspects existing ones. It generates
+// every workload kind a scenario phase may offer, from the same table
+// and with the same defaults. Generated traces can be replayed with
+// `epsim -workload trace -trace <file>` or via
 // epnet.Config{Workload: epnet.WorkloadTrace}.
 //
 // Examples:
@@ -13,18 +15,27 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"epnet/internal/link"
+	"epnet/internal/scenario"
 	"epnet/internal/sim"
 	"epnet/internal/traffic"
 )
 
+// window captures a scenario source from t=0 to the capture horizon.
+type window struct{ scenario.Source }
+
+func (w window) Start(e *sim.Engine, tgt traffic.Target, horizon sim.Time) {
+	w.Run(e, tgt, 0, horizon)
+}
+
 func main() {
-	workload := flag.String("workload", "search", "workload: uniform | search | advert | permutation | hotspot")
+	workload := flag.String("workload", "search", "workload: "+strings.Join(scenario.Kinds(), " | "))
 	hosts := flag.Int("hosts", 64, "number of hosts")
 	horizon := flag.Duration("horizon", 20*time.Millisecond, "trace length (simulated)")
-	load := flag.Float64("load", 0, "override workload average utilization")
+	load := flag.Float64("load", 0, "override the workload's default load")
 	seed := flag.Int64("seed", 1, "random seed")
 	out := flag.String("o", "", "output trace file (required unless -inspect)")
 	inspect := flag.String("inspect", "", "inspect an existing trace file instead of generating")
@@ -53,44 +64,12 @@ func main() {
 		fail(fmt.Errorf("-o is required (or use -inspect)"))
 	}
 
-	var w traffic.Workload
-	switch *workload {
-	case "uniform":
-		u := traffic.DefaultUniform(*seed)
-		if *load > 0 {
-			u.Load = *load
-		}
-		w = u
-	case "search":
-		s := traffic.Search(*seed)
-		if *load > 0 {
-			s.Load = *load
-		}
-		w = s
-	case "advert":
-		a := traffic.Advert(*seed)
-		if *load > 0 {
-			a.Load = *load
-		}
-		w = a
-	case "permutation":
-		l := *load
-		if l == 0 {
-			l = 0.1
-		}
-		w = &traffic.Permutation{MsgBytes: 64 * 1024, Load: l, LineRate: link.Rate40G, Seed: *seed}
-	case "hotspot":
-		l := *load
-		if l == 0 {
-			l = 0.05
-		}
-		w = &traffic.Hotspot{MsgBytes: 64 * 1024, Load: l, LineRate: link.Rate40G, Hot: 4, Seed: *seed}
-	default:
-		fail(fmt.Errorf("unknown workload %q", *workload))
+	src, err := scenario.NewSource(scenario.Traffic{Workload: *workload, Load: *load}, *seed)
+	if err != nil {
+		fail(err)
 	}
-
 	h := sim.Time(horizon.Nanoseconds()) * sim.Nanosecond
-	recs := traffic.Capture(w, *hosts, h)
+	recs := traffic.Capture(window{src}, *hosts, h)
 	f, err := os.Create(*out)
 	if err != nil {
 		fail(err)

@@ -3,10 +3,12 @@ package epnet
 import (
 	"errors"
 	"math"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
+	"epnet/internal/sim"
 	"epnet/internal/traffic"
 )
 
@@ -127,5 +129,41 @@ func TestValidConfigHasNoError(t *testing.T) {
 	cfg.Load = traffic.MinLoad
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("load at traffic.MinLoad rejected: %v", err)
+	}
+}
+
+// TestTraceBeyondTopologyRejected replays a trace recorded for more
+// hosts than the topology has: the run fails before it starts, with a
+// *ConfigFieldError on TracePath naming the record and the host count.
+func TestTraceBeyondTopologyRejected(t *testing.T) {
+	path := t.TempDir() + "/wide.trace"
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := []traffic.Record{
+		{At: sim.Microsecond, Src: 0, Dst: 1, Size: 4096},
+		{At: 2 * sim.Microsecond, Src: 2, Dst: 38, Size: 4096},
+	}
+	if err := traffic.WriteTrace(f, recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastCfg() // 16 hosts
+	cfg.Workload, cfg.TracePath = WorkloadTrace, path
+	_, err = Run(cfg)
+	var fe *ConfigFieldError
+	if !errors.As(err, &fe) || fe.Field != "TracePath" {
+		t.Fatalf("Run = %v, want a *ConfigFieldError on TracePath", err)
+	}
+	for _, want := range []string{"record 1", "16 hosts"} {
+		if !strings.Contains(fe.Reason, want) {
+			t.Errorf("reason %q does not name %q", fe.Reason, want)
+		}
+	}
+	if !errors.Is(err, ErrInvalidConfig) {
+		t.Error("error does not match ErrInvalidConfig")
 	}
 }

@@ -381,25 +381,8 @@ func (inj *Injector) StartRandom(start, horizon sim.Time, perMs float64, mttr si
 		return
 	}
 	rng := rand.New(rand.NewSource(seed ^ 0xFA017))
-	exp := func(mean float64) sim.Time {
-		d := sim.Time(rng.ExpFloat64() * mean)
-		if d < sim.Nanosecond {
-			d = sim.Nanosecond
-		}
-		return d
-	}
-	interArrival := float64(sim.Millisecond) / perMs
 	ladder := inj.Net.Cfg.Ladder
-
-	var tick sim.Event
-	scheduleNext := func(from sim.Time) {
-		next := from + exp(interArrival)
-		if next >= horizon {
-			return
-		}
-		inj.Net.E.At(next, tick)
-	}
-	tick = func(now sim.Time) {
+	inj.arrivals(rng, start, horizon, perMs, func(now sim.Time) {
 		// A bounded retry keeps target selection cheap and deterministic
 		// even when most of the fabric is already degraded.
 		for try := 0; try < 8; try++ {
@@ -418,22 +401,45 @@ func (inj *Injector) StartRandom(start, horizon sim.Time, perMs float64, mttr si
 				// Lane degradation: pin somewhere below the maximum.
 				cap := ladder[rng.Intn(len(ladder)-1)]
 				inj.DegradeLink(now, sw, port, cap)
-				restoreAt := now + exp(2*float64(mttr))
+				restoreAt := now + expDelay(rng, 2*float64(mttr))
 				inj.Net.E.At(restoreAt, func(at sim.Time) {
 					inj.RestoreLink(at, sw, port)
 				})
 			} else {
 				inj.FailLink(now, sw, port)
-				repairAt := now + exp(float64(mttr))
+				repairAt := now + expDelay(rng, float64(mttr))
 				inj.Net.E.At(repairAt, func(at sim.Time) {
 					inj.RepairLink(at, sw, port)
 				})
 			}
 			break
 		}
-		scheduleNext(now)
+	})
+}
+
+// expDelay draws an exponentially distributed delay of mean picoseconds
+// from rng, clamped to at least a nanosecond.
+func expDelay(rng *rand.Rand, mean float64) sim.Time {
+	return max(sim.Time(rng.ExpFloat64()*mean), sim.Nanosecond)
+}
+
+// arrivals runs tick at the arrivals of a Poisson process of perMs
+// expected events per simulated millisecond, drawn from rng, over
+// (start, horizon). Each next arrival is drawn after tick returns, and
+// the process ends at the first one at or past horizon.
+func (inj *Injector) arrivals(rng *rand.Rand, start, horizon sim.Time, perMs float64, tick func(now sim.Time)) {
+	interArrival := float64(sim.Millisecond) / perMs
+	var fire sim.Event
+	next := func(from sim.Time) {
+		if at := from + expDelay(rng, interArrival); at < horizon {
+			inj.Net.E.At(at, fire)
+		}
 	}
-	scheduleNext(start)
+	fire = func(now sim.Time) {
+		tick(now)
+		next(now)
+	}
+	next(start)
 }
 
 // RegisterMetrics exposes the injector's counters to a telemetry

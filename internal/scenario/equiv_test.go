@@ -201,6 +201,20 @@ func eager(t *testing.T, w traffic.Workload) traffic.Workload {
 				refLoop(e, horizon, at, send, paretoGap(rng, shuffleGap))
 			}
 		}
+	case *traffic.Incast:
+		start = func(e *sim.Engine, tgt traffic.Target, horizon sim.Time) {
+			n := tgt.NumHosts()
+			fanin := min(max(w.Fanin, 1), n-1)
+			mean := float64(w.MsgBytes*fanin*8) / (w.Load * float64(w.LineRate))
+			rng := rand.New(rand.NewSource(w.Seed))
+			send := func() {
+				dst := rng.Intn(n)
+				for range fanin {
+					tgt.InjectMessage(notSelf(rng.Intn(n), dst, n), dst, w.MsgBytes)
+				}
+			}
+			refLoop(e, horizon, phaseIn(rng, mean), send, expGap(rng, mean))
+		}
 	default:
 		t.Fatalf("no eager reference for %T", w)
 	}
@@ -230,16 +244,17 @@ func sameLog(t *testing.T, got, want []injection) {
 	t.Fatalf("no host sent twice in %d injections", len(got))
 }
 
-// TestGeneratorsMatchEagerReference pins every per-host generator —
-// and a diurnal paced Uniform stream, whose slices each call Start —
-// to a reference that seeds each host's stream up front. Generators
+// TestGeneratorsMatchEagerReference pins every generator — the
+// per-host ones, Incast's single shared stream, and a diurnal paced
+// Uniform stream, whose slices each call Start — to a reference that
+// seeds each host's stream up front. Generators
 // that seed a stream on its first draw must inject the same messages
 // at the same times, for each seed.
 func TestGeneratorsMatchEagerReference(t *testing.T) {
 	const hosts = 64
 	const horizon = sim.Millisecond
 	for _, seed := range []int64{1, 13} {
-		for _, kind := range []string{"uniform", "search", "advert", "permutation", "hotspot", "tornado", "migration"} {
+		for _, kind := range []string{"uniform", "search", "advert", "permutation", "hotspot", "tornado", "migration", "incast"} {
 			t.Run(fmt.Sprintf("seed%d/%s", seed, kind), func(t *testing.T) {
 				w := makers[kind](0, seed)
 				ref := eager(t, w)

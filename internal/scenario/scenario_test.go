@@ -292,9 +292,6 @@ func TestSourceParityWithConstructors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if src.Name() == "" {
-				t.Error("source has no name")
-			}
 			e := sim.New()
 			tgt := &countTarget{e: e, hosts: 32}
 			src.Run(e, tgt, 0, 200*sim.Microsecond)

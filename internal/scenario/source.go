@@ -20,8 +20,6 @@ func simTime(d time.Duration) sim.Time { return sim.Time(d.Nanoseconds()) * sim.
 // same recursive-closure generators the flag path uses, so the
 // 0 allocs/packet property of the fabric hot path is untouched.
 type Source interface {
-	// Name identifies the stream in reports.
-	Name() string
 	// Run starts the stream for the window [from, until). The engine's
 	// clock is at from when Run is invoked.
 	Run(e *sim.Engine, tgt traffic.Target, from, until sim.Time)
@@ -116,7 +114,7 @@ func NewSource(spec Traffic, seed int64) (Source, error) {
 		return nil, errf("workload", "unknown workload %q", spec.Workload)
 	}
 	if sh := spec.Shape; sh != nil && sh.Kind != "" && sh.Kind != ShapeFlat {
-		return &paced{kind: spec.Workload, shape: *sh, peak: spec.Load, seed: seed, mk: mk}, nil
+		return &paced{shape: *sh, peak: spec.Load, seed: seed, mk: mk}, nil
 	}
 	return steady{w: mk(spec.Load, seed)}, nil
 }
@@ -130,8 +128,6 @@ func FromWorkload(w traffic.Workload) Source { return steady{w: w} }
 // starting one mid-run simply begins its warm-in phase there.
 type steady struct{ w traffic.Workload }
 
-func (s steady) Name() string { return s.w.Name() }
-
 func (s steady) Run(e *sim.Engine, tgt traffic.Target, from, until sim.Time) {
 	s.w.Start(e, tgt, until)
 }
@@ -143,14 +139,11 @@ func (s steady) Run(e *sim.Engine, tgt traffic.Target, from, until sim.Time) {
 // stripes; each slice is an ordinary streaming generator, so the
 // packet path stays allocation-free.
 type paced struct {
-	kind  string
 	shape Shape
 	peak  float64
 	seed  int64
 	mk    maker
 }
-
-func (p *paced) Name() string { return p.kind + "/" + p.shape.Kind }
 
 func (p *paced) Run(e *sim.Engine, tgt traffic.Target, from, until sim.Time) {
 	steps := p.shape.Steps

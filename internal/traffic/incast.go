@@ -31,44 +31,19 @@ type Incast struct {
 	Seed     int64
 }
 
-// Name implements Workload.
-func (p *Incast) Name() string { return "Incast" }
-
-// AvgUtil implements Workload. Load here is the hot receiver's
-// utilization, not the cluster mean — the cluster mean is Load/n.
-func (p *Incast) AvgUtil() float64 { return p.Load }
-
 // Start implements Workload.
 func (p *Incast) Start(e *sim.Engine, tgt Target, horizon sim.Time) {
 	n := tgt.NumHosts()
-	fanin := p.Fanin
-	if fanin < 1 {
-		fanin = 1
-	}
-	if fanin > n-1 {
-		fanin = n - 1
-	}
+	fanin := min(max(p.Fanin, 1), n-1)
 	meanGapSec := float64(p.MsgBytes*fanin*8) / (p.Load * float64(p.LineRate))
+	// One stream draws the start phase, each burst's victim, its
+	// senders and the next gap.
 	rng := rand.New(rand.NewSource(p.Seed))
-	var burst func(now sim.Time)
-	burst = func(now sim.Time) {
-		if now > horizon {
-			return
-		}
+	loop(e, horizon, startPhase(rng, meanGapSec), func() sim.Time {
 		dst := rng.Intn(n)
 		for i := 0; i < fanin; i++ {
-			src := rng.Intn(n)
-			if src == dst {
-				src = (src + 1) % n
-			}
-			tgt.InjectMessage(src, dst, p.MsgBytes)
+			tgt.InjectMessage(notSelf(rng.Intn(n), dst, n), dst, p.MsgBytes)
 		}
-		gap := sim.Time(rng.ExpFloat64() * meanGapSec * float64(sim.Second))
-		if gap < sim.Nanosecond {
-			gap = sim.Nanosecond
-		}
-		e.After(gap, burst)
-	}
-	// Random start phase, like every other generator.
-	e.After(sim.Time(rng.Int63n(int64(meanGapSec*float64(sim.Second))+1)), burst)
+		return expGap(rng, meanGapSec)
+	})
 }

@@ -26,7 +26,7 @@ func runGen(t *testing.T, w Workload, hosts int, horizon sim.Time) *sink {
 	w.Start(e, s, horizon)
 	e.Run()
 	if len(s.msgs) == 0 {
-		t.Fatalf("%s injected nothing in %v", w.Name(), horizon)
+		t.Fatalf("%T injected nothing in %v", w, horizon)
 	}
 	return s
 }
@@ -36,9 +36,6 @@ func runGen(t *testing.T, w Workload, hosts int, horizon sim.Time) *sink {
 func TestIncastFanin(t *testing.T) {
 	w := &Incast{MsgBytes: 4096, Fanin: 8, Load: 0.3, LineRate: link.Rate40G, Seed: 3}
 	s := runGen(t, w, 32, 500*sim.Microsecond)
-	if w.AvgUtil() != 0.3 {
-		t.Errorf("AvgUtil = %v, want the configured load", w.AvgUtil())
-	}
 	if len(s.msgs)%8 != 0 {
 		t.Fatalf("%d messages is not a whole number of fanin-8 bursts", len(s.msgs))
 	}
@@ -88,9 +85,6 @@ func TestMigrationStreams(t *testing.T) {
 	w := &Migration{TotalBytes: 64 * 1024, ChunkBytes: 16 * 1024, Streams: 1,
 		Load: 0.4, LineRate: link.Rate40G, Seed: 5}
 	s := runGen(t, w, 16, 2000*sim.Microsecond)
-	if w.AvgUtil() != 0.4 {
-		t.Errorf("AvgUtil = %v, want the configured load", w.AvgUtil())
-	}
 	// One stream: chunks arrive in runs of 4 (64k/16k) per pair.
 	const run = 4
 	if len(s.msgs) < run {

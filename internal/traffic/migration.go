@@ -29,55 +29,30 @@ type Migration struct {
 	Seed     int64
 }
 
-// Name implements Workload.
-func (m *Migration) Name() string { return "Migration" }
-
-// AvgUtil implements Workload. Load is per active stream; the cluster
-// mean is Streams*Load/n.
-func (m *Migration) AvgUtil() float64 { return m.Load }
-
 // Start implements Workload.
 func (m *Migration) Start(e *sim.Engine, tgt Target, horizon sim.Time) {
 	n := tgt.NumHosts()
 	streams := m.Streams
 	if streams <= 0 {
-		streams = n / 8
+		streams = max(n/8, 1)
 	}
-	if streams < 1 {
-		streams = 1
-	}
-	chunks := (m.TotalBytes + m.ChunkBytes - 1) / m.ChunkBytes
-	if chunks < 1 {
-		chunks = 1
-	}
+	chunks := max((m.TotalBytes+m.ChunkBytes-1)/m.ChunkBytes, 1)
 	meanGapSec := float64(m.ChunkBytes*8) / (m.Load * float64(m.LineRate))
 	for s := 0; s < streams; s++ {
 		srng := hostRand(m.Seed, s)
 		var src, dst, left int
 		pick := func() {
 			src = srng.Intn(n)
-			dst = srng.Intn(n)
-			if dst == src {
-				dst = (dst + 1) % n
-			}
+			dst = notSelf(srng.Intn(n), src, n)
 			left = chunks
 		}
 		pick()
-		var send func(now sim.Time)
-		send = func(now sim.Time) {
-			if now > horizon {
-				return
-			}
+		loop(e, horizon, startPhase(srng, meanGapSec), func() sim.Time {
 			tgt.InjectMessage(src, dst, m.ChunkBytes)
 			if left--; left == 0 {
 				pick()
 			}
-			gap := sim.Time(srng.ExpFloat64() * meanGapSec * float64(sim.Second))
-			if gap < sim.Nanosecond {
-				gap = sim.Nanosecond
-			}
-			e.After(gap, send)
-		}
-		e.After(sim.Time(srng.Int63n(int64(meanGapSec*float64(sim.Second))+1)), send)
+			return expGap(srng, meanGapSec)
+		})
 	}
 }

@@ -77,33 +77,18 @@ func ReadTrace(r io.Reader) ([]Record, error) {
 	return recs, nil
 }
 
-// Replay injects a recorded trace.
+// Replay injects a recorded trace. Every record up to the horizon must
+// name hosts the target has.
 type Replay struct {
-	Label   string
 	Records []Record
-	// Util documents the trace's average utilization for reports
-	// (computed by Capture, or set by the caller).
-	Util float64
 }
-
-// Name implements Workload.
-func (p *Replay) Name() string { return p.Label }
-
-// AvgUtil implements Workload.
-func (p *Replay) AvgUtil() float64 { return p.Util }
 
 // Start implements Workload. Records beyond the horizon are skipped.
 func (p *Replay) Start(e *sim.Engine, tgt Target, horizon sim.Time) {
-	n := tgt.NumHosts()
 	for _, r := range p.Records {
-		r := r
-		if r.At > horizon {
-			continue
+		if r.At <= horizon {
+			e.At(r.At, func(sim.Time) { tgt.InjectMessage(r.Src, r.Dst, r.Size) })
 		}
-		if r.Src >= n || r.Dst >= n {
-			panic(fmt.Sprintf("traffic: trace record %v exceeds %d hosts", r, n))
-		}
-		e.At(r.At, func(sim.Time) { tgt.InjectMessage(r.Src, r.Dst, r.Size) })
 	}
 }
 

@@ -39,11 +39,6 @@ const MinLoad = 1e-6
 
 // Workload schedules message injections on an engine until a horizon.
 type Workload interface {
-	// Name identifies the workload in reports.
-	Name() string
-	// AvgUtil is the intended mean injection utilization per host,
-	// as a fraction of line rate.
-	AvgUtil() float64
 	// Start schedules injections on e against tgt. No new messages are
 	// generated after horizon (in-flight traffic may drain later).
 	Start(e *sim.Engine, tgt Target, horizon sim.Time)
@@ -90,14 +85,70 @@ func (p Pareto) ScaleToMean(m float64) Pareto {
 	return Pareto{Alpha: p.Alpha, Min: p.Min * s, Max: p.Max * s}
 }
 
-// hostSeed derives the seed of host (or stream) h's private stream
-// from a generator seed. It is the one per-host derivation in this
-// package: every per-host stream is hostRand(seed, h), a pure function
-// of (seed, h), so a generator may create it whenever it is first read.
-func hostSeed(seed int64, h int) int64 { return seed ^ int64(h)*0x2545F4914F6CDD1D }
+// hostRand returns host (or stream) h's private stream for a generator
+// seed. It is the one per-host derivation in this package: a pure
+// function of (seed, h), so a generator may create the stream whenever
+// it is first read.
+func hostRand(seed int64, h int) *rand.Rand {
+	return rand.New(rand.NewSource(seed ^ int64(h)*0x2545F4914F6CDD1D))
+}
 
-// hostRand returns host h's private stream for a generator seed.
-func hostRand(seed int64, h int) *rand.Rand { return rand.New(rand.NewSource(hostSeed(seed, h))) }
+// loop is the send loop every generator runs, once per stream: fire
+// runs at offset first from the current clock, then again after each
+// gap it returns, clamped to at least a nanosecond, until an event
+// fires past horizon. fire injects and draws the next gap; it is all a
+// generator adds of its own.
+func loop(e *sim.Engine, horizon, first sim.Time, fire func() sim.Time) {
+	var step func(now sim.Time)
+	step = func(now sim.Time) {
+		if now > horizon {
+			return
+		}
+		gap := fire()
+		if gap < sim.Nanosecond {
+			gap = sim.Nanosecond
+		}
+		e.After(gap, step)
+	}
+	e.After(first, step)
+}
+
+// seconds converts a span in seconds to simulator time.
+func seconds(s float64) sim.Time { return sim.Time(s * float64(sim.Second)) }
+
+// expGap draws an exponentially distributed gap of mean meanSec seconds.
+func expGap(rng *rand.Rand, meanSec float64) sim.Time { return seconds(rng.ExpFloat64() * meanSec) }
+
+// startPhase draws a stream's random start phase, uniform over one mean
+// gap, so that streams do not inject in lockstep.
+func startPhase(rng *rand.Rand, meanSec float64) sim.Time {
+	return sim.Time(rng.Int63n(int64(meanSec*float64(sim.Second)) + 1))
+}
+
+// notSelf maps a destination equal to its source onto the next host.
+func notSelf(dst, src, n int) int {
+	if dst == src {
+		return (dst + 1) % n
+	}
+	return dst
+}
+
+// hostStreams runs one steady stream per host, the shape Permutation,
+// Hotspot and Tornado share: host h's own stream draws its start phase,
+// then every send carries msgBytes to dst(h, rng), with exponential gaps
+// sized to offer load of lineRate.
+func hostStreams(e *sim.Engine, tgt Target, horizon sim.Time, seed int64,
+	msgBytes int, load float64, lineRate link.Rate, dst func(h int, rng *rand.Rand) int) {
+	n := tgt.NumHosts()
+	meanGapSec := float64(msgBytes*8) / (load * float64(lineRate))
+	for h := 0; h < n; h++ {
+		hrng := hostRand(seed, h)
+		loop(e, horizon, startPhase(hrng, meanGapSec), func() sim.Time {
+			tgt.InjectMessage(h, notSelf(dst(h, hrng), h, n), msgBytes)
+			return expGap(hrng, meanGapSec)
+		})
+	}
+}
 
 // Uniform is the paper's synthetic workload: every host repeatedly
 // sends a MsgBytes message to a new uniformly random destination, with
@@ -115,46 +166,24 @@ func DefaultUniform(seed int64) *Uniform {
 	return &Uniform{MsgBytes: 512 * 1024, Load: 0.23, LineRate: link.Rate40G, Seed: seed}
 }
 
-// Name implements Workload.
-func (u *Uniform) Name() string { return "Uniform" }
-
-// AvgUtil implements Workload.
-func (u *Uniform) AvgUtil() float64 { return u.Load }
-
-// Start implements Workload. A host's own stream is first read in its
-// first send, so it is seeded there: at low load most hosts of a large
-// fabric never send before the horizon and never pay for a source. The
-// stream is a pure function of (Seed, h), so the draws are the same as
-// if it had been seeded here.
+// Start implements Workload. Start phases come from one shared stream.
+// A host's own stream is first read in its first send, so it is seeded
+// there: at low load most hosts of a large fabric never send before the
+// horizon and never pay for a source. The stream is a pure function of
+// (Seed, h), so the draws are the same as if it had been seeded here.
 func (u *Uniform) Start(e *sim.Engine, tgt Target, horizon sim.Time) {
 	n := tgt.NumHosts()
 	meanGapSec := float64(u.MsgBytes*8) / (u.Load * float64(u.LineRate))
 	rng := rand.New(rand.NewSource(u.Seed))
 	for h := 0; h < n; h++ {
-		h := h
 		var hrng *rand.Rand
-		var send func(now sim.Time)
-		send = func(now sim.Time) {
-			if now > horizon {
-				return
-			}
+		loop(e, horizon, startPhase(rng, meanGapSec), func() sim.Time {
 			if hrng == nil {
 				hrng = hostRand(u.Seed, h)
 			}
-			dst := hrng.Intn(n)
-			if dst == h {
-				dst = (dst + 1) % n
-			}
-			tgt.InjectMessage(h, dst, u.MsgBytes)
-			gap := sim.Time(hrng.ExpFloat64() * meanGapSec * float64(sim.Second))
-			if gap < sim.Nanosecond {
-				gap = sim.Nanosecond
-			}
-			e.After(gap, send)
-		}
-		// Random start phase to avoid synchronized injection. Scheduled
-		// relative to the current clock so generators can start mid-run.
-		e.After(sim.Time(rng.Int63n(int64(meanGapSec*float64(sim.Second))+1)), send)
+			tgt.InjectMessage(h, notSelf(hrng.Intn(n), h, n), u.MsgBytes)
+			return expGap(hrng, meanGapSec)
+		})
 	}
 }
 
@@ -168,7 +197,6 @@ func (u *Uniform) Start(e *sim.Engine, tgt Target, horizon sim.Time) {
 // preserves: low average utilization, burstiness across timescales
 // (Pareto tails), randomized placement, and asymmetric channel usage.
 type TraceLike struct {
-	Label       string
 	Load        float64 // mean injection utilization target
 	LineRate    link.Rate
 	ServerFrac  float64 // fraction of hosts acting as servers
@@ -186,7 +214,6 @@ type TraceLike struct {
 // a large server pool.
 func Search(seed int64) *TraceLike {
 	return &TraceLike{
-		Label:       "Search",
 		Load:        0.06,
 		LineRate:    link.Rate40G,
 		ServerFrac:  0.25,
@@ -204,7 +231,6 @@ func Search(seed int64) *TraceLike {
 // utilization, smaller responses, heavier file-system share.
 func Advert(seed int64) *TraceLike {
 	return &TraceLike{
-		Label:       "Advert",
 		Load:        0.05,
 		LineRate:    link.Rate40G,
 		ServerFrac:  0.15,
@@ -217,12 +243,6 @@ func Advert(seed int64) *TraceLike {
 		Seed:        seed,
 	}
 }
-
-// Name implements Workload.
-func (t *TraceLike) Name() string { return t.Label }
-
-// AvgUtil implements Workload.
-func (t *TraceLike) AvgUtil() float64 { return t.Load }
 
 // Validate checks distribution parameters.
 func (t *TraceLike) Validate() error {
@@ -252,13 +272,7 @@ func (t *TraceLike) Start(e *sim.Engine, tgt Target, horizon sim.Time) {
 		panic(err)
 	}
 	n := tgt.NumHosts()
-	nServers := int(float64(n) * t.ServerFrac)
-	if nServers < 1 {
-		nServers = 1
-	}
-	if nServers >= n {
-		nServers = n - 1
-	}
+	nServers := min(max(int(float64(n)*t.ServerFrac), 1), n-1)
 	// Randomized placement (§4.1: "application placement has been
 	// randomized across the cluster").
 	rng := rand.New(rand.NewSource(t.Seed))
@@ -275,30 +289,18 @@ func (t *TraceLike) Start(e *sim.Engine, tgt Target, horizon sim.Time) {
 
 	// Client request/response loops.
 	for _, c := range clients {
-		c := c
 		crng := hostRand(t.Seed, c)
-		var loop func(now sim.Time)
-		loop = func(now sim.Time) {
-			if now > horizon {
-				return
-			}
+		loop(e, horizon, seconds(crng.Float64()*think.Mean()), func() sim.Time {
 			srv := servers[crng.Intn(len(servers))]
 			tgt.InjectMessage(c, srv, t.ReqBytes)
 			resp := int(t.Resp.Sample(crng))
-			e.After(t.ServerDelay, func(rnow sim.Time) {
-				if rnow > horizon {
-					return
+			e.After(t.ServerDelay, func(now sim.Time) {
+				if now <= horizon {
+					tgt.InjectMessage(srv, c, resp)
 				}
-				tgt.InjectMessage(srv, c, resp)
 			})
-			gap := sim.Time(think.Sample(crng) * float64(sim.Second))
-			if gap < sim.Nanosecond {
-				gap = sim.Nanosecond
-			}
-			e.After(gap, loop)
-		}
-		start := sim.Time(crng.Float64() * think.Mean() * float64(sim.Second))
-		e.After(start, loop)
+			return seconds(think.Sample(crng))
+		})
 	}
 
 	if t.ShuffleFrac == 0 {
@@ -310,26 +312,12 @@ func (t *TraceLike) Start(e *sim.Engine, tgt Target, horizon sim.Time) {
 
 	// Background block shuffles from every host.
 	for h := 0; h < n; h++ {
-		h := h
 		hrng := hostRand(t.Seed^0x5DEECE66D, h)
-		var loop func(now sim.Time)
-		loop = func(now sim.Time) {
-			if now > horizon {
-				return
-			}
-			dst := hrng.Intn(n)
-			if dst == h {
-				dst = (dst + 1) % n
-			}
+		loop(e, horizon, seconds(hrng.Float64()*shuffleGap.Mean()), func() sim.Time {
+			dst := notSelf(hrng.Intn(n), h, n)
 			tgt.InjectMessage(h, dst, int(t.ShuffleB.Sample(hrng)))
-			gap := sim.Time(shuffleGap.Sample(hrng) * float64(sim.Second))
-			if gap < sim.Nanosecond {
-				gap = sim.Nanosecond
-			}
-			e.After(gap, loop)
-		}
-		start := sim.Time(hrng.Float64() * shuffleGap.Mean() * float64(sim.Second))
-		e.After(start, loop)
+			return seconds(shuffleGap.Sample(hrng))
+		})
 	}
 }
 
@@ -342,39 +330,11 @@ type Permutation struct {
 	Seed     int64
 }
 
-// Name implements Workload.
-func (p *Permutation) Name() string { return "Permutation" }
-
-// AvgUtil implements Workload.
-func (p *Permutation) AvgUtil() float64 { return p.Load }
-
 // Start implements Workload.
 func (p *Permutation) Start(e *sim.Engine, tgt Target, horizon sim.Time) {
-	n := tgt.NumHosts()
-	rng := rand.New(rand.NewSource(p.Seed))
-	perm := rng.Perm(n)
-	meanGapSec := float64(p.MsgBytes*8) / (p.Load * float64(p.LineRate))
-	for h := 0; h < n; h++ {
-		h := h
-		dst := perm[h]
-		if dst == h {
-			dst = (dst + 1) % n
-		}
-		hrng := hostRand(p.Seed, h)
-		var send func(now sim.Time)
-		send = func(now sim.Time) {
-			if now > horizon {
-				return
-			}
-			tgt.InjectMessage(h, dst, p.MsgBytes)
-			gap := sim.Time(hrng.ExpFloat64() * meanGapSec * float64(sim.Second))
-			if gap < sim.Nanosecond {
-				gap = sim.Nanosecond
-			}
-			e.After(gap, send)
-		}
-		e.After(sim.Time(hrng.Int63n(int64(meanGapSec*float64(sim.Second))+1)), send)
-	}
+	perm := rand.New(rand.NewSource(p.Seed)).Perm(tgt.NumHosts())
+	hostStreams(e, tgt, horizon, p.Seed, p.MsgBytes, p.Load, p.LineRate,
+		func(h int, _ *rand.Rand) int { return perm[h] })
 }
 
 // Hotspot directs all hosts' traffic at a small set of hot destinations.
@@ -382,45 +342,15 @@ type Hotspot struct {
 	MsgBytes int
 	Load     float64
 	LineRate link.Rate
-	Hot      int // number of hot destinations
+	Hot      int // number of hot destinations (clamped to the host count)
 	Seed     int64
 }
 
-// Name implements Workload.
-func (p *Hotspot) Name() string { return "Hotspot" }
-
-// AvgUtil implements Workload.
-func (p *Hotspot) AvgUtil() float64 { return p.Load }
-
 // Start implements Workload.
 func (p *Hotspot) Start(e *sim.Engine, tgt Target, horizon sim.Time) {
-	n := tgt.NumHosts()
-	hot := p.Hot
-	if hot < 1 {
-		hot = 1
-	}
-	meanGapSec := float64(p.MsgBytes*8) / (p.Load * float64(p.LineRate))
-	for h := 0; h < n; h++ {
-		h := h
-		hrng := hostRand(p.Seed, h)
-		var send func(now sim.Time)
-		send = func(now sim.Time) {
-			if now > horizon {
-				return
-			}
-			dst := hrng.Intn(hot)
-			if dst == h {
-				dst = (dst + 1) % n
-			}
-			tgt.InjectMessage(h, dst, p.MsgBytes)
-			gap := sim.Time(hrng.ExpFloat64() * meanGapSec * float64(sim.Second))
-			if gap < sim.Nanosecond {
-				gap = sim.Nanosecond
-			}
-			e.After(gap, send)
-		}
-		e.After(sim.Time(hrng.Int63n(int64(meanGapSec*float64(sim.Second))+1)), send)
-	}
+	hot := min(max(p.Hot, 1), tgt.NumHosts())
+	hostStreams(e, tgt, horizon, p.Seed, p.MsgBytes, p.Load, p.LineRate,
+		func(_ int, rng *rand.Rand) int { return rng.Intn(hot) })
 }
 
 // Tornado sends every host's traffic to the host halfway around the
@@ -434,35 +364,9 @@ type Tornado struct {
 	Seed     int64
 }
 
-// Name implements Workload.
-func (p *Tornado) Name() string { return "Tornado" }
-
-// AvgUtil implements Workload.
-func (p *Tornado) AvgUtil() float64 { return p.Load }
-
 // Start implements Workload.
 func (p *Tornado) Start(e *sim.Engine, tgt Target, horizon sim.Time) {
 	n := tgt.NumHosts()
-	meanGapSec := float64(p.MsgBytes*8) / (p.Load * float64(p.LineRate))
-	for h := 0; h < n; h++ {
-		h := h
-		dst := (h + n/2) % n
-		if dst == h {
-			dst = (dst + 1) % n
-		}
-		hrng := hostRand(p.Seed, h)
-		var send func(now sim.Time)
-		send = func(now sim.Time) {
-			if now > horizon {
-				return
-			}
-			tgt.InjectMessage(h, dst, p.MsgBytes)
-			gap := sim.Time(hrng.ExpFloat64() * meanGapSec * float64(sim.Second))
-			if gap < sim.Nanosecond {
-				gap = sim.Nanosecond
-			}
-			e.After(gap, send)
-		}
-		e.After(sim.Time(hrng.Int63n(int64(meanGapSec*float64(sim.Second))+1)), send)
-	}
+	hostStreams(e, tgt, horizon, p.Seed, p.MsgBytes, p.Load, p.LineRate,
+		func(h int, _ *rand.Rand) int { return (h + n/2) % n })
 }

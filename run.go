@@ -208,6 +208,17 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	// Resolve the run into its phase plan before the fabric is built,
+	// so a trace that does not fit the topology fails here. A
+	// flag-configured run is the implicit single steady phase; a
+	// scenario contributes its phases. Either way the traffic below
+	// starts from streaming sources.
+	warmup := simTime(cfg.Warmup)
+	horizon := warmup + simTime(cfg.Duration)
+	plan, err := buildPlan(cfg, t.NumHosts(), warmup, horizon)
+	if err != nil {
+		return Result{}, err
+	}
 	fcfg := fabric.DefaultConfig()
 	fcfg.MaxPacket = cfg.MaxPacket
 	fcfg.Seed = cfg.Seed
@@ -227,16 +238,6 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if cfg.Profile || cfg.ProfileOut != "" {
 		eprof = telemetry.NewEngineProfiler(net.NumShards())
 		net.SetProfiler(eprof)
-	}
-
-	// Resolve the run into its phase plan. A flag-configured run is the
-	// implicit single steady phase; a scenario contributes its phases.
-	// Either way the traffic below starts from streaming sources.
-	warmup := simTime(cfg.Warmup)
-	horizon := warmup + simTime(cfg.Duration)
-	plan, err := buildPlan(cfg, warmup, horizon)
-	if err != nil {
-		return Result{}, err
 	}
 
 	// Optional flow tracing: hash-sampled packets carry hop logs, the

@@ -225,11 +225,11 @@ func streamSeed(seed int64, phase int, name string, idx int) int64 {
 	return scenario.PhaseSeed(seed, name, fmt.Sprintf("traffic:%d", idx))
 }
 
-// buildPlan resolves cfg into its executable phases. warmup and horizon
-// are the run's absolute boundaries.
-func buildPlan(cfg Config, warmup, horizon sim.Time) (*runPlan, error) {
+// buildPlan resolves cfg into its executable phases on a topology of
+// hosts hosts. warmup and horizon are the run's absolute boundaries.
+func buildPlan(cfg Config, hosts int, warmup, horizon sim.Time) (*runPlan, error) {
 	if cfg.Scenario == nil {
-		src, err := implicitSource(cfg)
+		src, err := implicitSource(cfg, hosts, horizon)
 		if err != nil {
 			return nil, err
 		}
@@ -274,8 +274,9 @@ func buildPlan(cfg Config, warmup, horizon sim.Time) (*runPlan, error) {
 }
 
 // implicitSource wraps the legacy single-workload Config fields as one
-// streaming source — the same constructors a scenario phase uses.
-func implicitSource(cfg Config) (scenario.Source, error) {
+// streaming source — the same constructors a scenario phase uses. A
+// trace must fit the topology's hosts up to the horizon.
+func implicitSource(cfg Config, hosts int, horizon sim.Time) (scenario.Source, error) {
 	if cfg.Workload == WorkloadTrace {
 		f, err := os.Open(cfg.TracePath)
 		if err != nil {
@@ -286,7 +287,13 @@ func implicitSource(cfg Config) (scenario.Source, error) {
 		if err != nil {
 			return nil, err
 		}
-		return scenario.FromWorkload(&traffic.Replay{Label: cfg.TracePath, Records: recs}), nil
+		for i, r := range recs {
+			if r.At <= horizon && (r.Src >= hosts || r.Dst >= hosts) {
+				return nil, fieldErr("TracePath", "%s: record %d %v exceeds the topology's %d hosts",
+					cfg.TracePath, i, r, hosts)
+			}
+		}
+		return scenario.FromWorkload(&traffic.Replay{Records: recs}), nil
 	}
 	return scenario.NewSource(
 		scenario.Traffic{Workload: string(cfg.Workload), Load: cfg.Load}, cfg.Seed)
